@@ -13,7 +13,7 @@ unit's coefficients deviate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -39,28 +39,6 @@ from sparsepanel.panel import PanelData
 from sparsepanel.rng import as_generator
 
 VARIANTS = ("baseline", "homosk", "rip", "hip")
-
-
-def build_state_prior_cov(phi: float, eps_vars, v_s0: float) -> np.ndarray:
-    """Prior covariance of (s_0, ..., s_T) for one unit.
-
-    `eps_vars[t-1]` is the state innovation variance in period t (already
-    scaled by the unit's variance discrepancy). Var(s_0) = v_s0 and the
-    autoregression with coefficient `phi` propagates it forward:
-    V(t,t) = phi^2 V(t-1,t-1) + eps_vars[t-1], V(t, tau) = phi^{|t-tau|} V(min, min).
-    """
-    eps_vars = np.asarray(eps_vars, dtype=float)
-    t_len = eps_vars.size
-    diag = np.empty(t_len + 1)
-    diag[0] = v_s0
-    for t in range(1, t_len + 1):
-        diag[t] = phi**2 * diag[t - 1] + eps_vars[t - 1]
-    cov = np.empty((t_len + 1, t_len + 1))
-    for t in range(t_len + 1):
-        cov[t, t] = diag[t]
-        for tau in range(t + 1, t_len + 1):
-            cov[t, tau] = cov[tau, t] = phi ** (tau - t) * diag[t]
-    return cov
 
 
 def _state_precision_1t(phi: float, eps_vars: np.ndarray, v_s0: float):
@@ -148,77 +126,80 @@ def init_m2_state(n: int, t: int, k: int, config: M2Config):
     return common, units
 
 
-def _update_states_and_alpha_deviation(y, x, mask, common, units, config, gen) -> None:
-    """Joint per-unit draw of (z_alpha, delta_alpha, s_1..s_T), then s_0.
+class StateDraw(NamedTuple):
+    """One draw of the state block, as arrays over units."""
 
-    Conditioning includes the current draws of (mu_s0, v_s0): the states'
-    prior mean is phi^t mu_s0 and their prior covariance integrates s_0 out.
-    The prior-mean quadratic is identical under both indicator values, so it
-    drops from the posterior odds.
+    log_odds: np.ndarray     # (N,) posterior log-odds of the slab for delta_alpha
+    logdet_p0: np.ndarray    # (N,) log det of the states-only posterior precision
+    logdet_p1: np.ndarray    # (N,) log det of the joint (states, delta_alpha) precision
+    z: np.ndarray            # (N,) alpha indicators
+    delta_alpha: np.ndarray  # (N, k)
+    s: np.ndarray            # (N, T+1), s_0 first
+
+
+def draw_states_and_alpha_deviation(y, x, mask, common, units, hetero, u, e, e0) -> StateDraw:
+    """Joint draw of (z_alpha, s_1..s_T, delta_alpha), then s_0, for all units.
+
+    Per unit the variables are ordered states first, so the posterior
+    precision is P1 = [[P0, DX], [X'D, V_alpha^-1 + X'DX]] with P0 the
+    tridiagonal prior precision of the states plus diag(D). Its Cholesky
+    factor is [[L0, 0], [C', Ls]]: L0 is lower bidiagonal (one forward pass
+    over T, vectorised over units) and Ls factors the k x k Schur complement
+    S = V_alpha^-1 + X'DX - C'C, so log det P1 = log det P0 + log det S.
+    The prior mean phi^t mu_s0 enters only through s_1, and its quadratic is
+    the same under both indicator values, so it drops from the odds.
+    `u` (N,), `e` (N, T+k) and `e0` (N,) are the uniform and standard
+    normal noise the draw consumes; `e[:, :T]` drives the states.
     """
     n, t_len, k = x.shape
-    hetero = config.coef_heterogeneity
     q = {None: common.q["alpha"], False: 0.0, True: 1.0}[hetero]
-    log_odds = _log_odds_prior(q)
-    prec_alpha = np.linalg.inv(np.atleast_2d(common.v_delta_alpha))
-    sign, logdet_v_alpha = np.linalg.slogdet(np.atleast_2d(common.v_delta_alpha))
-    for i in range(n):
-        phi = common.rho + units.delta_rho[i]
-        eps_vars = common.sigma2_eps * units.delta_sigma_eps[i]
-        q_s, logdet_vs = _state_precision_1t(phi, eps_vars, common.v_s0)
-        m_states = common.mu_s0 * phi ** np.arange(1, t_len + 1)
-        obs = mask[i]
-        d = np.where(obs, 1.0 / (common.sigma2_u * units.delta_sigma_u[i]), 0.0)
-        y_check = np.where(obs, y[i] - x[i] @ common.alpha, 0.0)
-        xd = x[i] * d[:, None]
+    v_alpha = np.atleast_2d(common.v_delta_alpha)
+    phi = common.rho + units.delta_rho
+    w = common.sigma2_eps[None, :] * units.delta_sigma_eps[:, None]
+    w[:, 0] += phi**2 * common.v_s0  # s_0 integrated out
+    d = np.where(mask, 1.0 / (common.sigma2_u[None, :] * units.delta_sigma_u[:, None]), 0.0)
+    y_check = np.where(mask, y - x @ common.alpha, 0.0)
+    xd = x * d[:, :, None]
+    diag = 1.0 / w + d
+    diag[:, :-1] += phi[:, None] ** 2 / w[:, 1:]
+    sub = -phi[:, None] / w[:, 1:]
 
-        # States-only posterior (indicator at the spike).
-        p0 = q_s + np.diag(d)
-        b0 = q_s @ m_states + d * y_check
-        chol0 = np.linalg.cholesky(p0)
-        mean0 = np.linalg.solve(p0, b0)
-        quad0 = float(b0 @ mean0)
-        logdet_p0 = 2.0 * float(np.sum(np.log(np.diag(chol0))))
+    # Forward pass, with rows indexed by period: P0 = L diag(piv) L' with L
+    # unit lower bidiagonal (multipliers lo), so L0 = L diag(piv)^1/2, and
+    # fw = L0^-1 [b0, DX] for both right-hand sides.
+    piv, lo, sub = diag.T.copy(), np.zeros((t_len, n)), sub.T
+    fw = np.concatenate([(d * y_check).T[:, :, None], xd.transpose(1, 0, 2)], axis=2)
+    fw[0, :, 0] += phi * common.mu_s0 / w[:, 0]
+    for t in range(1, t_len):
+        lo[t] = sub[t - 1] / piv[t - 1]
+        piv[t] -= lo[t] * sub[t - 1]
+        fw[t] -= lo[t][:, None] * fw[t - 1]
+    root_piv = np.sqrt(piv)
+    fw = np.moveaxis(fw / root_piv[:, :, None], 0, 1)
+    logdet_p0 = np.log(piv).sum(axis=0)
 
-        if hetero is False:
-            z_i = 0
-        else:
-            # Joint posterior over (delta_alpha, states).
-            p1 = np.zeros((k + t_len, k + t_len))
-            p1[:k, :k] = prec_alpha + x[i].T @ xd
-            p1[:k, k:] = xd.T
-            p1[k:, :k] = xd
-            p1[k:, k:] = p0
-            b1 = np.concatenate([xd.T @ y_check, b0])
-            chol1 = np.linalg.cholesky(p1)
-            mean1 = np.linalg.solve(p1, b1)
-            quad1 = float(b1 @ mean1)
-            logdet_p1 = 2.0 * float(np.sum(np.log(np.diag(chol1))))
-            # Odds of the slab: prior-precision and posterior-precision
-            # determinants plus the fit improvement.
-            log_k = (
-                log_odds
-                - 0.5 * (logdet_v_alpha + logdet_p1 - logdet_p0)
-                + 0.5 * (quad1 - quad0)
-            )
-            z_i = int(gen.random() < special.expit(log_k))
+    # Schur complement for delta_alpha; its forward solve gives quad1 - quad0.
+    gram = np.swapaxes(fw, 1, 2) @ fw  # [[b0'P0^-1 b0, w0'C], [C'w0, C'C]]
+    xdt = np.swapaxes(xd, 1, 2)
+    ls = np.linalg.cholesky(np.linalg.inv(v_alpha) + xdt @ x - gram[:, 1:, 1:])
+    wa = np.linalg.solve(ls, xdt @ y_check[:, :, None] - gram[:, 1:, :1])
+    logdet_s = 2.0 * np.log(np.diagonal(ls, axis1=1, axis2=2)).sum(axis=1)
+    log_k = (_log_odds_prior(q) - 0.5 * (np.linalg.slogdet(v_alpha)[1] + logdet_s)
+             + 0.5 * np.sum(wa[:, :, 0] ** 2, axis=1))
+    z = (u < special.expit(log_k)).astype(np.int64)
+    alpha_dev = np.linalg.solve(np.swapaxes(ls, 1, 2), wa + e[:, t_len:, None])
+    alpha_dev = np.where(z[:, None, None] == 1, alpha_dev, 0.0)
 
-        if z_i:
-            draw = mean1 + np.linalg.solve(chol1.T, gen.standard_normal(k + t_len))
-            units.delta_alpha[i] = draw[:k]
-            states = draw[k:]
-        else:
-            units.delta_alpha[i] = 0.0
-            states = mean0 + np.linalg.solve(chol0.T, gen.standard_normal(t_len))
-        units.z["alpha"][i] = z_i
-        units.s[i, 1:] = states
-
-        # s_0 given s_1 by Gaussian conditioning on the current hyperdraws.
-        v1 = phi**2 * common.v_s0 + eps_vars[0]
-        gain = phi * common.v_s0 / v1
-        mean_s0 = common.mu_s0 + gain * (states[0] - phi * common.mu_s0)
-        var_s0 = common.v_s0 - gain * phi * common.v_s0
-        units.s[i, 0] = mean_s0 + np.sqrt(max(var_s0, 0.0)) * gen.standard_normal()
+    # Back pass: states given delta_alpha, then s_0 given s_1.
+    states = (fw[:, :, 0] + e[:, :t_len] - (fw[:, :, 1:] @ alpha_dev)[:, :, 0]).T / root_piv
+    for t in range(t_len - 1, 0, -1):
+        states[t - 1] -= lo[t] * states[t]
+    s = np.empty((n, t_len + 1))
+    s[:, 1:] = states.T
+    gain = phi * common.v_s0 / w[:, 0]
+    var_s0 = np.maximum(common.v_s0 - gain * phi * common.v_s0, 0.0)
+    s[:, 0] = common.mu_s0 + gain * (s[:, 1] - phi * common.mu_s0) + np.sqrt(var_s0) * e0
+    return StateDraw(log_k, logdet_p0, logdet_p0 + logdet_s, z, alpha_dev[:, :, 0], s)
 
 
 def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config,
@@ -308,7 +289,12 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
             common.q["sigma_eps"], common.v_delta_sigma_eps, ssr_eps, np.full(n, t_len), gen
         )
 
-    _update_states_and_alpha_deviation(y, x, mask, common, units, config, gen)
+    # States and alpha deviations; the noise is drawn in fixed-size arrays.
+    draw = draw_states_and_alpha_deviation(
+        y, x, mask, common, units, hetero,
+        gen.random(n), gen.standard_normal((n, t_len + k)), gen.standard_normal(n),
+    )
+    units.z["alpha"][:], units.delta_alpha[:], units.s[:] = draw.z, draw.delta_alpha, draw.s
 
     if not fixed_common:
         # Initial-state hyperparameters.
@@ -332,13 +318,12 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
         n_t = mask.sum(axis=0).astype(float)
         ssr_u_t = (resid_u**2 / units.delta_sigma_u[:, None]).sum(axis=0)
         ssr_eps_t = (resid_eps**2 / units.delta_sigma_eps[:, None]).sum(axis=0)
-        for t in range(t_len):
-            common.sigma2_u[t] = float(sample_inverse_gamma(
-                InverseGammaSpec(hyper.sigma2_u.nu + n_t[t], hyper.sigma2_u.tau + ssr_u_t[t]), gen
-            ))
-            common.sigma2_eps[t] = float(sample_inverse_gamma(
-                InverseGammaSpec(hyper.sigma2_eps.nu + n, hyper.sigma2_eps.tau + ssr_eps_t[t]), gen
-            ))
+        # IG((nu + count)/2, (tau + ssr)/2) for every period in one draw, as
+        # the reciprocal of a Gamma draw (see `sample_inverse_gamma`).
+        common.sigma2_u = 1.0 / gen.gamma((hyper.sigma2_u.nu + n_t) / 2.0,
+                                          2.0 / (hyper.sigma2_u.tau + ssr_u_t))
+        common.sigma2_eps = 1.0 / gen.gamma((hyper.sigma2_eps.nu + n) / 2.0,
+                                            2.0 / (hyper.sigma2_eps.tau + ssr_eps_t))
 
 
 def _extract_m2_arrays(data: PanelData):

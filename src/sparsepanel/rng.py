@@ -25,21 +25,23 @@ class RngStream:
             raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        self._keyed((self.stream_id,))
+
+    def _keyed(self, key: tuple) -> "RngStream":
+        self.key = key
+        ss = np.random.SeedSequence(self.seed, spawn_key=key)
         self.generator = np.random.Generator(_BITGEN(ss))
+        return self
 
     def substream(self, stream_id: int) -> "RngStream":
         """A fresh independent stream under the same seed.
 
-        The child key folds this stream's id with the new one so substreams of
-        distinct parents never collide.
+        The child key extends this stream's full key with the new id, so
+        substreams of distinct parents never collide at any depth.
         """
         child = RngStream.__new__(RngStream)
-        child.seed = self.seed
-        child.stream_id = int(stream_id)
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, int(stream_id)))
-        child.generator = np.random.Generator(_BITGEN(ss))
-        return child
+        child.seed, child.stream_id = self.seed, int(stream_id)
+        return child._keyed(self.key + (child.stream_id,))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

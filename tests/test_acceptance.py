@@ -29,6 +29,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from m2_oracle import build_state_prior_cov
 from sparsepanel.blocks import (
     CommonState,
     HyperParams,
@@ -56,7 +57,7 @@ from sparsepanel.geweke import (
     run_geweke_m2,
     z_statistics,
 )
-from sparsepanel.m2 import M2Config, build_state_prior_cov, run_m2, run_m2_individual
+from sparsepanel.m2 import M2Config, run_m2, run_m2_individual
 from sparsepanel.mc import MCDesign, _cell_theta, run_experiment
 from sparsepanel.means import (
     argmax_estimator,

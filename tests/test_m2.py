@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from sparsepanel.blocks import CommonState, HyperParams
+from m2_oracle import build_state_prior_cov, dense_state_draw
+from sparsepanel.blocks import CommonState, HyperParams, UnitState
 from sparsepanel.m2 import (
     ConfigurationError,
     IndividualPriors,
     M2Config,
     _state_precision_1t,
-    build_state_prior_cov,
+    draw_states_and_alpha_deviation,
     run_m2,
     run_m2_individual,
 )
@@ -84,6 +85,53 @@ def test_state_precision_inverts_prior_cov():
         sign, ld = np.linalg.slogdet(cov[1:, 1:])
         assert sign > 0
         np.testing.assert_allclose(logdet, ld, rtol=1e-10)
+
+
+def _random_state_block(n, t, k, seed):
+    """Fixed inputs for the state block: data with masked cells, parameters, noise."""
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n, t, k))
+    x[:, :, 0] = 1.0
+    mask = gen.random((n, t)) > 0.25
+    y = np.where(mask, gen.normal(size=(n, t)), 0.0)
+    root = gen.normal(size=(k, k)) * 0.3
+    common = CommonState(
+        alpha=gen.normal(size=k), rho=0.7, q={"alpha": 0.4},
+        v_delta_alpha=root @ root.T + 0.2 * np.eye(k), v_delta_rho=0.04,
+        sigma2_u=gen.uniform(0.2, 0.8, t), sigma2_eps=gen.uniform(0.1, 0.5, t),
+        v_delta_sigma_u=0.5, v_delta_sigma_eps=0.5, mu_s0=0.3, v_s0=0.2,
+    )
+    units = UnitState(
+        z={}, delta_alpha=np.zeros((n, k)), delta_rho=gen.normal(0.0, 0.2, n),
+        delta_sigma_u=gen.uniform(0.5, 2.0, n), delta_sigma_eps=gen.uniform(0.5, 2.0, n),
+        s=np.zeros((n, t + 1)),
+    )
+    noise = (gen.random(n), gen.standard_normal((n, t + k)), gen.standard_normal(n))
+    return (y, x, mask, common, units), noise
+
+
+@pytest.mark.parametrize("variant", ["baseline", "rip", "hip"])
+@pytest.mark.parametrize("n,t,k", [(12, 6, 2), (12, 6, 1), (1, 5, 2), (7, 2, 2), (1, 2, 1)])
+def test_banded_state_draw_matches_dense_oracle(variant, n, t, k):
+    inputs, (u, e, e0) = _random_state_block(n, t, k, seed=100 * n + 10 * t + k)
+    hetero = M2Config(variant=variant).coef_heterogeneity
+    slab, spike = np.zeros(n), np.full(n, np.nextafter(1.0, 0.0))
+    forced = {"baseline": (1, 0), "rip": (0, 0), "hip": (1, 1)}[variant]
+    for u_case, z_expected in ((u, None), (slab, forced[0]), (spike, forced[1])):
+        ref = dense_state_draw(*inputs, hetero, u_case, e, e0)
+        got = draw_states_and_alpha_deviation(*inputs, hetero, u_case, e, e0)
+        if z_expected is not None:
+            assert np.all(ref["z"] == z_expected)
+        np.testing.assert_array_equal(got.z, ref["z"])
+        for name in ("log_odds", "logdet_p0", "logdet_p1", "delta_alpha", "s"):
+            np.testing.assert_allclose(getattr(got, name), ref[name], rtol=1e-10, atol=1e-10,
+                                       err_msg=name)
+        # zero noise draws the posterior means given the indicators
+        mean = draw_states_and_alpha_deviation(*inputs, hetero, u_case, 0 * e, 0 * e0)
+        np.testing.assert_array_equal(mean.z, ref["z"])
+        np.testing.assert_allclose(mean.s[:, 1:], ref["mean_states"], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(mean.delta_alpha, ref["mean_delta_alpha"], rtol=1e-10,
+                                   atol=1e-10)
 
 
 def test_reproducible_and_seed_sensitive():

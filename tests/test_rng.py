@@ -36,3 +36,16 @@ def test_as_generator_accepts_common_inputs():
     gen = np.random.default_rng(0)
     assert as_generator(gen) is gen
     assert isinstance(as_generator(5), np.random.Generator)
+
+
+def test_nested_substreams_depend_on_every_ancestor():
+    a = RngStream(7, 0).substream(2).substream(5).substream(0).generator.standard_normal(8)
+    b = RngStream(7, 0).substream(4).substream(5).substream(0).generator.standard_normal(8)
+    assert not np.array_equal(a, b)
+
+
+def test_first_level_substream_key_unchanged():
+    # one level down the key is (stream id, child id), as it always was
+    ss = np.random.SeedSequence(7, spawn_key=(2, 3))
+    expected = np.random.Generator(np.random.Philox(ss)).random(8)
+    assert np.array_equal(RngStream(7, 2).substream(3).generator.random(8), expected)
