@@ -24,21 +24,28 @@ from sparsepanel import __version__
 from sparsepanel.blocks import CommonState, HyperParams
 from sparsepanel.forecast import (
     SCENARIOS,
-    core_units_from_chain,
     inequality_decomposition,
-    interval_width_ratios,
     predict,
-    score,
     write_decomposition,
     write_fan_chart,
-    write_scores,
 )
 from sparsepanel.m1 import M1Config, VARIANTS as M1_VARIANTS, run_m1
 from sparsepanel.m2 import M2Config, VARIANTS as M2_VARIANTS, run_m2, run_m2_individual
 from sparsepanel.mc import MCDesign, run_experiment
 from sparsepanel.panel import load_panel, simulate_m1, simulate_m2, write_panel
+from sparsepanel.rng import RngStream
 
 COMMANDS = ("simulate", "estimate", "montecarlo", "forecast", "decompose")
+
+# Every command draws from RngStream(seed, <purpose>) with one of these
+# purposes; single-unit chain i draws from its .substream(i). `montecarlo`
+# keys its cells and replications under RngStream(seed, 0) (see
+# mc.run_experiment).
+SIMULATE_STREAM = 1
+CHAIN_STREAM = 2
+PREDICT_STREAM = 3
+UNIT_CHAINS_STREAM = 4
+DECOMPOSE_STREAM = 5
 
 
 @dataclass
@@ -103,6 +110,8 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
         errors.append("n: must be >= 1")
     if rc.t < 1:
         errors.append("t: must be >= 1")
+    if not (isinstance(rc.seed, int) and 0 <= rc.seed < 2**64):
+        errors.append(f"seed: must be an integer in [0, 2**64), got {rc.seed!r}")
     if command in ("estimate", "forecast"):
         if rc.data is None:
             errors.append(f"data: required for the {command} command")
@@ -209,12 +218,14 @@ def _default_m1_truth() -> CommonState:
 
 
 def _default_m2_truth(t: int) -> CommonState:
+    # rho_i = 0.7 + N(0, 0.08^2) on the slab: fewer than 1e-4 of slab units
+    # have |rho_i| >= 1, so simulated panels stay stationary.
     return CommonState(
         alpha=np.array([1.5, 0.5]),
-        rho=0.9,
+        rho=0.7,
         q={"alpha": 0.4, "rho": 0.4, "sigma_u": 0.4, "sigma_eps": 0.4},
         v_delta_alpha=np.diag([0.3, 0.05]),
-        v_delta_rho=0.04,
+        v_delta_rho=0.0064,
         sigma2_u=np.full(t, 0.04),
         sigma2_eps=np.full(t, 0.02),
         v_delta_sigma_u=1.0,
@@ -239,7 +250,7 @@ def _theta_from_config(rc: RunConfig) -> CommonState:
 
 
 def _cmd_simulate(rc: RunConfig) -> Dict:
-    rng = np.random.default_rng(rc.seed)
+    rng = RngStream(rc.seed, SIMULATE_STREAM)
     theta = _theta_from_config(rc)
     if rc.model == "m1":
         hetsk = bool(rc.extra.get("heteroskedastic", False))
@@ -255,7 +266,7 @@ def _cmd_simulate(rc: RunConfig) -> Dict:
 
 
 def _estimate_chain(rc: RunConfig, data):
-    rng = np.random.default_rng(rc.seed)
+    rng = RngStream(rc.seed, CHAIN_STREAM)
     if rc.model == "m1":
         config = M1Config(variant=rc.variant, n_draws=rc.draws, burn_in=rc.burnin, thin=rc.thin)
         return run_m1(data, config, rng)
@@ -299,13 +310,13 @@ def _cmd_forecast(rc: RunConfig) -> Dict:
     data = load_panel(rc.data)
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(rc.seed + 1)
+    rng = RngStream(rc.seed, PREDICT_STREAM)
     if rc.scenario == "individual_info":
         _progress(f"estimating {len(data.unit_ids)} single-unit chains")
+        units_rng = RngStream(rc.seed, UNIT_CHAINS_STREAM)
         chains = [
             run_m2_individual(data.y[i, 1:], data.x[i, 1:, :], n_draws=rc.draws,
-                              burn_in=rc.burnin, rng=np.random.default_rng(rc.seed + 10 + i),
-                              thin=rc.thin)
+                              burn_in=rc.burnin, rng=units_rng.substream(i), thin=rc.thin)
             for i in range(len(data.unit_ids))
         ]
         pred = predict(chains, data, rc.horizons, rc.scenario, rng)
@@ -324,7 +335,7 @@ def _cmd_decompose(rc: RunConfig) -> Dict:
     t = rc.extra.get("cohort_periods", 20)
     rc.t = t
     theta = _theta_from_config(rc)
-    result = inequality_decomposition(theta, n=n, t=t, rng=np.random.default_rng(rc.seed))
+    result = inequality_decomposition(theta, n=n, t=t, rng=RngStream(rc.seed, DECOMPOSE_STREAM))
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
     write_decomposition(result, out / "decomposition.csv")

@@ -114,18 +114,6 @@ def sample_beta(a: float, b: float, rng, size=None):
     return x / (x + y)
 
 
-def sample_bernoulli(p, rng, size=None):
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ParameterDomainError("bernoulli probability must lie in [0, 1]")
-    gen = as_generator(rng)
-    if size is None and p.ndim > 0:
-        size = p.shape
-    u = gen.random(size=size)
-    draw = (u < p).astype(np.int64)
-    return draw if size is not None else int(draw)
-
-
 def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor, adding a tiny diagonal jitter up to 3 times on failure."""
     cov = np.asarray(cov, dtype=float)
@@ -178,42 +166,3 @@ def sample_truncated_normal(spec: TruncatedNormalSpec, rng, size=None):
     p = np.clip(lo + u * (1.0 - lo), np.nextafter(lo, 1.0), np.nextafter(1.0, 0.0))
     draw = spec.center + spec.scale * special.ndtri(p)
     return np.maximum(draw, np.nextafter(spec.lower_bound, np.inf))
-
-
-def log_density(family: str, params, x) -> float:
-    """Natural-log density; returns -inf outside the support."""
-    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-    if family == "normal":
-        mu, var = params
-        if var <= 0:
-            raise ParameterDomainError("normal variance must be positive")
-        return float(-0.5 * np.log(2.0 * np.pi * var) - 0.5 * (x - mu) ** 2 / var)
-    if family == "inverse_gamma":
-        spec = params if isinstance(params, InverseGammaSpec) else InverseGammaSpec(*params)
-        if x <= 0:
-            return -np.inf
-        a, b = spec.nu / 2.0, spec.tau / 2.0
-        return float(a * np.log(b) - special.gammaln(a) - (a + 1.0) * np.log(x) - b / x)
-    if family == "beta":
-        a, b = params
-        if not (a > 0 and b > 0):
-            raise ParameterDomainError("beta requires a, b > 0")
-        if not 0.0 < x < 1.0:
-            return -np.inf
-        return float((a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - special.betaln(a, b))
-    if family == "truncated_normal":
-        spec = params if isinstance(params, TruncatedNormalSpec) else TruncatedNormalSpec(*params)
-        if x <= spec.lower_bound:
-            return -np.inf
-        z = (x - spec.center) / spec.scale
-        a = (spec.lower_bound - spec.center) / spec.scale
-        log_tail = special.log_ndtr(-a)
-        return float(-0.5 * np.log(2.0 * np.pi) - np.log(spec.scale) - 0.5 * z * z - log_tail)
-    if family == "inverse_wishart":
-        spec = params if isinstance(params, InverseWishartSpec) else InverseWishartSpec(*params)
-        x = np.atleast_2d(x)
-        try:
-            return float(stats.invwishart.logpdf(x, df=spec.dof, scale=spec.scale))
-        except (np.linalg.LinAlgError, ValueError):
-            return -np.inf
-    raise ParameterDomainError(f"unknown distribution family {family!r}")

@@ -21,8 +21,7 @@ from scipy.special import logsumexp
 
 from sparsepanel.blocks import CommonState
 from sparsepanel.chainout import ChainOutput
-from sparsepanel.distributions import sample_inverse_gamma
-from sparsepanel.panel import PanelData, draw_unit_deviations, ig_from_v
+from sparsepanel.panel import M2_BLOCKS, PanelData, draw_unit_deviations
 from sparsepanel.rng import as_generator
 
 SCENARIOS = ("full_info_param_unc", "full_info_no_param_unc", "individual_info")
@@ -320,16 +319,7 @@ def inequality_decomposition(theta: CommonState, n: int = 10_000, t: int = 20,
     from the baseline only through the channel being shut down.
     """
     gen = as_generator(rng)
-    truth = draw_unit_deviations(theta, n, gen, blocks=("alpha", "rho"))
-    scale = {}
-    for label, v in (("sigma_u", theta.v_delta_sigma_u), ("sigma_eps", theta.v_delta_sigma_eps)):
-        q = theta.q.get(label, 0.0)
-        zl = (gen.random(n) < q).astype(np.int64)
-        if v is not None and v > 0:
-            slab = sample_inverse_gamma(ig_from_v(v), gen, size=n)
-        else:
-            slab = np.ones(n)
-        scale[label] = np.where(zl == 1, slab, 1.0)
+    truth = draw_unit_deviations(theta, n, gen, blocks=M2_BLOCKS)
     rho_i = theta.rho + truth.delta_rho
     s0 = theta.mu_s0 + np.sqrt(theta.v_s0) * gen.standard_normal(n)
     eps = gen.standard_normal((n, t))
@@ -343,11 +333,11 @@ def inequality_decomposition(theta: CommonState, n: int = 10_000, t: int = 20,
         v_path = np.empty(t)
         s = s0
         for step in range(1, t + 1):
-            s = rho_i * s + np.sqrt(sig2_e[step - 1] * scale["sigma_eps"]) * eps[:, step - 1]
+            s = rho_i * s + np.sqrt(sig2_e[step - 1] * truth.delta_sigma_eps) * eps[:, step - 1]
             x_t = np.column_stack([np.ones(n), np.full(n, step / 10.0)])
             y = np.sum(x_t * coef, axis=1) + s
             if not zero_transitory:
-                y = y + np.sqrt(sig2_u[step - 1] * scale["sigma_u"]) * u[:, step - 1]
+                y = y + np.sqrt(sig2_u[step - 1] * truth.delta_sigma_u) * u[:, step - 1]
             v_path[step - 1] = y.var()
         return v_path
 

@@ -8,15 +8,21 @@ in the moments of any test function flags an incorrect updating block.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams, RwmhAdaptState, UnitState
-from sparsepanel.distributions import sample_inverse_gamma
+from sparsepanel.distributions import sample_inverse_gamma, sample_inverse_wishart, sample_mv_normal
 from sparsepanel.m1 import M1Config, m1_sweep
-from sparsepanel.panel import draw_unit_deviations
-from sparsepanel.rng import as_generator
+from sparsepanel.m2 import M2Config, m2_sweep
+from sparsepanel.panel import (
+    M2_BLOCKS,
+    draw_unit_deviations,
+    simulate_m1,
+    simulate_m1_given,
+    simulate_m2_given,
+)
 
 
 def batch_means_variance(x: np.ndarray, n_batches: int = 30) -> float:
@@ -56,16 +62,6 @@ def _draw_m1_common(hyper: HyperParams, heteroskedastic: bool, gen) -> CommonSta
     )
 
 
-def _simulate_m1_given(common: CommonState, units: UnitState, n: int, t: int, gen) -> np.ndarray:
-    sigma_i = np.sqrt(common.sigma2 * units.delta_sigma)
-    alpha_i = common.alpha + units.delta_alpha
-    rho_i = common.rho + units.delta_rho
-    y = np.zeros((n, t + 1))
-    for step in range(1, t + 1):
-        y[:, step] = alpha_i + rho_i * y[:, step - 1] + sigma_i * gen.standard_normal(n)
-    return y
-
-
 def _m1_test_functions(common: CommonState, units: UnitState, heteroskedastic: bool) -> Dict[str, float]:
     g = {
         "alpha": common.alpha,
@@ -95,35 +91,30 @@ def _m1_test_functions(common: CommonState, units: UnitState, heteroskedastic: b
 
 def run_geweke_m1(variant: str, n: int, t: int, n_iter: int, rng,
                   thin: int = 1) -> Dict[str, Dict[str, np.ndarray]]:
-    """Collect test-function draws from both simulators for the panel model."""
+    """Collect test-function draws from both simulators for the panel model.
+
+    The marginal simulator draws from `rng.substream(0)` and the successive
+    one from `rng.substream(1)`, where `rng` is an RngStream."""
     config = M1Config(variant=variant, n_draws=2, burn_in=0)
     hyper = config.hyper
     hetsk = config.heteroskedastic
-    gen_mc = as_generator(rng.substream(0) if hasattr(rng, "substream") else rng)
-    gen_sc = as_generator(rng.substream(1) if hasattr(rng, "substream") else rng)
-
-    blocks = ("alpha", "rho", "sigma") if hetsk else ("alpha", "rho")
-
-    def fill_units(units):
-        if units.delta_sigma is None:
-            units.delta_sigma = np.ones(n)
-            units.z["sigma"] = np.zeros(n, dtype=np.int64)
-        return units
+    gen_mc = rng.substream(0).generator
+    gen_sc = rng.substream(1).generator
 
     marginal = {}
     for _ in range(n_iter):
         common = _draw_m1_common(hyper, hetsk, gen_mc)
-        units = fill_units(draw_unit_deviations(common, n, gen_mc, blocks=blocks))
+        _, units = simulate_m1(common, hyper, n, t, gen_mc, heteroskedastic=hetsk)
         for name, val in _m1_test_functions(common, units, hetsk).items():
             marginal.setdefault(name, []).append(val)
 
     successive = {}
     common = _draw_m1_common(hyper, hetsk, gen_sc)
-    units = fill_units(draw_unit_deviations(common, n, gen_sc, blocks=blocks))
+    _, units = simulate_m1(common, hyper, n, t, gen_sc, heteroskedastic=hetsk)
     adapt = RwmhAdaptState()
     y0 = np.zeros(n)
     for j in range(n_iter * thin):
-        y = _simulate_m1_given(common, units, n, t, gen_sc)
+        y = simulate_m1_given(common, units, t, gen_sc)
         m1_sweep(y0, y[:, 1:], common, units, config, adapt, gen_sc, adapt_enabled=False)
         if j % thin:
             continue
@@ -136,8 +127,6 @@ def run_geweke_m1(variant: str, n: int, t: int, n_iter: int, rng,
     }
 
 def _draw_m2_common(hyper: HyperParams, k: int, t: int, config, gen) -> CommonState:
-    from sparsepanel.distributions import sample_inverse_wishart, sample_mv_normal
-
     hetero = config.coef_heterogeneity
     q_coef = {None: None, False: 0.0, True: 1.0}[hetero]
     q = {
@@ -163,54 +152,6 @@ def _draw_m2_common(hyper: HyperParams, k: int, t: int, config, gen) -> CommonSt
         mu_s0=float(hyper.mu_s0_mean + np.sqrt(hyper.mu_s0_var) * gen.standard_normal()),
         v_s0=float(sample_inverse_gamma(hyper.v_s0, gen)),
     )
-
-
-def _draw_m2_units(common: CommonState, n: int, t: int, k: int, gen) -> UnitState:
-    from sparsepanel.distributions import sample_mv_normal
-    from sparsepanel.panel import ig_from_v
-
-    z = {}
-    z["alpha"] = (gen.random(n) < common.q["alpha"]).astype(np.int64)
-    z["rho"] = (gen.random(n) < common.q["rho"]).astype(np.int64)
-    delta_alpha = z["alpha"][:, None] * sample_mv_normal(
-        np.zeros(k), np.atleast_2d(common.v_delta_alpha), gen, size=n
-    )
-    delta_rho = z["rho"] * np.sqrt(common.v_delta_rho) * gen.standard_normal(n)
-    deltas = {}
-    for label, v in (("sigma_u", common.v_delta_sigma_u), ("sigma_eps", common.v_delta_sigma_eps)):
-        if v is None:
-            z[label] = np.zeros(n, dtype=np.int64)
-            deltas[label] = np.ones(n)
-        else:
-            z[label] = (gen.random(n) < common.q[label]).astype(np.int64)
-            draws = sample_inverse_gamma(ig_from_v(v), gen, size=n)
-            deltas[label] = np.where(z[label] == 1, draws, 1.0)
-    s = np.empty((n, t + 1))
-    s[:, 0] = common.mu_s0 + np.sqrt(common.v_s0) * gen.standard_normal(n)
-    phi = common.rho + delta_rho
-    for step in range(1, t + 1):
-        sd = np.sqrt(common.sigma2_eps[step - 1] * deltas["sigma_eps"])
-        s[:, step] = phi * s[:, step - 1] + sd * gen.standard_normal(n)
-    return UnitState(z=z, delta_alpha=delta_alpha, delta_rho=delta_rho,
-                     delta_sigma_u=deltas["sigma_u"], delta_sigma_eps=deltas["sigma_eps"], s=s)
-
-
-def _simulate_m2_given(common: CommonState, units: UnitState, x: np.ndarray, gen) -> np.ndarray:
-    n, t, k = x.shape
-    sd_u = np.sqrt(common.sigma2_u[None, :] * units.delta_sigma_u[:, None])
-    fitted = np.einsum("itk,ik->it", x, common.alpha[None, :] + units.delta_alpha)
-    return fitted + units.s[:, 1:] + sd_u * gen.standard_normal((n, t))
-
-
-def _resimulate_m2_states(common: CommonState, units: UnitState, gen) -> None:
-    """Redraw the latent states from their prior given the unit parameters, so
-    the successive-conditional chain refreshes the full joint (params, s, y)."""
-    n, t_plus = units.s.shape
-    units.s[:, 0] = common.mu_s0 + np.sqrt(common.v_s0) * gen.standard_normal(n)
-    phi = common.rho + units.delta_rho
-    for step in range(1, t_plus):
-        sd = np.sqrt(common.sigma2_eps[step - 1] * units.delta_sigma_eps)
-        units.s[:, step] = phi * units.s[:, step - 1] + sd * gen.standard_normal(n)
 
 
 def _m2_test_functions(common: CommonState, units: UnitState, config) -> Dict[str, float]:
@@ -253,14 +194,12 @@ def _m2_test_functions(common: CommonState, units: UnitState, config) -> Dict[st
 
 def run_geweke_m2(variant: str, n: int, t: int, k: int, n_iter: int, rng,
                   thin: int = 1) -> Dict[str, Dict[str, np.ndarray]]:
-    """Collect test-function draws from both simulators for the state-space model."""
-    from sparsepanel.blocks import HyperParams as _HP
-    from sparsepanel.m2 import M2Config, m2_sweep
-
-    config = M2Config(variant=variant, n_draws=2, burn_in=0, hyper=_HP.m2_defaults(k=k))
+    """Collect test-function draws from both simulators for the state-space model,
+    with the same streams as `run_geweke_m1`."""
+    config = M2Config(variant=variant, n_draws=2, burn_in=0, hyper=HyperParams.m2_defaults(k=k))
     hyper = config.hyper
-    gen_mc = as_generator(rng.substream(0) if hasattr(rng, "substream") else rng)
-    gen_sc = as_generator(rng.substream(1) if hasattr(rng, "substream") else rng)
+    gen_mc = rng.substream(0).generator
+    gen_sc = rng.substream(1).generator
     x = np.ones((n, t, k))
     if k > 1:
         x[:, :, 1] = np.arange(1, t + 1)[None, :] / 10.0
@@ -269,19 +208,19 @@ def run_geweke_m2(variant: str, n: int, t: int, k: int, n_iter: int, rng,
     marginal = {}
     for _ in range(n_iter):
         common = _draw_m2_common(hyper, k, t, config, gen_mc)
-        units = _draw_m2_units(common, n, t, k, gen_mc)
+        units = draw_unit_deviations(common, n, gen_mc, blocks=M2_BLOCKS)
+        units.s, _ = simulate_m2_given(common, units, x, gen_mc)
         for name, val in _m2_test_functions(common, units, config).items():
             marginal.setdefault(name, []).append(val)
 
     successive = {}
     common = _draw_m2_common(hyper, k, t, config, gen_sc)
-    units = _draw_m2_units(common, n, t, k, gen_sc)
-    from sparsepanel.blocks import RwmhAdaptState as _RA
-
-    adapts = {"sigma_u": _RA(), "sigma_eps": _RA()}
+    units = draw_unit_deviations(common, n, gen_sc, blocks=M2_BLOCKS)
+    adapts = {"sigma_u": RwmhAdaptState(), "sigma_eps": RwmhAdaptState()}
     for j in range(n_iter * thin):
-        _resimulate_m2_states(common, units, gen_sc)
-        y = _simulate_m2_given(common, units, x, gen_sc)
+        # refresh the states with the data, so the chain visits the full
+        # joint law of (parameters, states, outcomes)
+        units.s, y = simulate_m2_given(common, units, x, gen_sc)
         m2_sweep(y, x, mask, common, units, config, adapts, gen_sc, adapt_enabled=False)
         if j % thin:
             continue

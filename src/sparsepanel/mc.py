@@ -15,12 +15,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams
-from sparsepanel.chainout import ChainOutput
 from sparsepanel.m1 import ConfigurationError, M1Config, point_estimates, run_m1
 from sparsepanel.panel import simulate_m1
 from sparsepanel.rng import RngStream
@@ -138,18 +137,6 @@ def _estimator_config(design: MCDesign, estimator: str) -> M1Config:
     )
 
 
-def oracle_estimator(data, theta: CommonState, rng, heteroskedastic: bool = False,
-                     n_draws: int = 5000, burn_in: int = 2500) -> Dict[str, np.ndarray]:
-    """Per-unit posterior means with every shared parameter held at the truth;
-    only the indicator/deviation blocks are sampled."""
-    config = M1Config(
-        variant="ss_hetsk" if heteroskedastic else "ss_homosk",
-        n_draws=n_draws, burn_in=burn_in, store_unit_draws=False,
-    )
-    chain = run_m1(data, config, rng, fixed_common=theta)
-    return point_estimates(chain, "mean")
-
-
 def _cell_theta(design: MCDesign, q: float, v: float) -> CommonState:
     theta = replace(design.theta)
     theta.q = {
@@ -217,62 +204,3 @@ def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
         if progress is not None:
             progress(c_idx + 1, len(cells))
     return RiskTable(risks=risks, stderrs=stderrs, failed=failed, design=design)
-
-
-def _kde_on_unit_grid(draws: np.ndarray, n_grid: int = 512) -> Tuple[np.ndarray, np.ndarray]:
-    """Gaussian KDE of draws supported on [0, 1], boundary-corrected by
-    reflection, renormalized to integrate to one on the grid."""
-    grid = np.linspace(0.0, 1.0, n_grid)
-    draws = np.asarray(draws, dtype=float)
-    if draws.std() < 1e-12:
-        # Degenerate chain: all mass in the nearest grid cell.
-        density = np.zeros(n_grid)
-        j = int(np.argmin(np.abs(grid - draws[0])))
-        density[j] = 1.0 / (grid[1] - grid[0])
-        return grid, density
-    from scipy.stats import gaussian_kde
-
-    kde = gaussian_kde(draws)
-    density = kde(grid) + kde(-grid) + kde(2.0 - grid)
-    density /= np.trapezoid(density, grid)
-    return grid, density
-
-
-def histogram_export(chain: ChainOutput, rule: str = "median_with_spike_adjust",
-                     threshold: float = 0.8) -> Dict[str, np.ndarray]:
-    """Plot-ready cross-sectional point estimates and heterogeneity-probability
-    posterior densities on a 512-point [0, 1] grid."""
-    out = {}
-    estimates = point_estimates(chain, rule, threshold=threshold)
-    for name, vals in estimates.items():
-        out["estimate_" + name] = vals
-    for name, draws in chain.common.items():
-        if name.startswith("q_"):
-            grid, density = _kde_on_unit_grid(draws)
-            out["grid"] = grid
-            out["density_" + name] = density
-    return out
-
-
-def write_histogram_export(export: Dict[str, np.ndarray], out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    est_names = sorted(n for n in export if n.startswith("estimate_"))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit_index"] + est_names)
-    n = len(export[est_names[0]])
-    for i in range(n):
-        writer.writerow([i] + [format(export[name][i], ".17g") for name in est_names])
-    (out / "point_estimates.csv").write_text(buf.getvalue())
-    dens_names = sorted(n_ for n_ in export if n_.startswith("density_"))
-    if dens_names:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["grid"] + dens_names)
-        for j in range(len(export["grid"])):
-            writer.writerow(
-                [format(export["grid"][j], ".17g")]
-                + [format(export[name][j], ".17g") for name in dens_names]
-            )
-        (out / "q_densities.csv").write_text(buf.getvalue())

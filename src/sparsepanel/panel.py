@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams, UnitState
-from sparsepanel.distributions import InverseGammaSpec, sample_inverse_gamma, sample_mv_normal
+from sparsepanel.distributions import ig_spec_from_variance, sample_inverse_gamma, sample_mv_normal
 from sparsepanel.rng import as_generator
 
 
@@ -78,10 +78,6 @@ class SampleSpec:
             raise ValueError("min_consecutive must be at least 2")
         if self.holdout_periods < 0:
             raise ValueError("holdout_periods must be non-negative")
-
-
-def _canonical_order(unit_ids):
-    return sorted(range(len(unit_ids)), key=lambda j: str(unit_ids[j]))
 
 
 def load_panel(path, schema=None) -> PanelData:
@@ -228,36 +224,53 @@ def residualize(data: PanelData, dummies: np.ndarray) -> PanelData:
     return PanelData(unit_ids=data.unit_ids, times=data.times, y=new_y, mask=data.mask.copy(), x=data.x)
 
 
+# The unit-level blocks of the latent-state model, in the order they are drawn.
+M2_BLOCKS = ("alpha", "rho", "sigma_u", "sigma_eps")
+
+
 def draw_unit_deviations(theta: CommonState, n: int, rng, blocks=("alpha", "rho", "sigma")) -> UnitState:
-    """Draw per-unit indicators and deviations from the mixture prior."""
+    """Draw per-unit indicators and deviations from the spike-and-slab prior.
+
+    Blocks are drawn in the order given; each draws its n indicator uniforms
+    and then its n slab draws. The `alpha` slab is Normal with a scalar or
+    k x k covariance, the `rho` slab Normal, and each variance scale
+    (`sigma`, `sigma_u`, `sigma_eps`) has the unit-mean inverse-gamma slab of
+    variance `v_delta_<label>`; a scale whose slab variance is None or 0 sits
+    at its spike value 1.
+    """
     gen = as_generator(rng)
-    z = {}
-    out = {}
+    units = UnitState(z={}, delta_alpha=None, delta_rho=None)
     for label in blocks:
-        q = theta.q.get(label, 0.0)
-        zl = (gen.random(n) < q).astype(np.int64)
-        z[label] = zl
-        if label == "sigma":
-            spec = ig_from_v(theta.v_delta_sigma)
-            draws = sample_inverse_gamma(spec, gen, size=n)
-            out["delta_sigma"] = np.where(zl == 1, draws, 1.0)
-        elif label == "rho":
-            out["delta_rho"] = zl * np.sqrt(theta.v_delta_rho) * gen.standard_normal(n)
-        elif label == "alpha":
+        z = (gen.random(n) < theta.q.get(label, 0.0)).astype(np.int64)
+        units.z[label] = z
+        if label == "alpha":
             v = theta.v_delta_alpha
             if np.ndim(v) == 2:
-                draws = sample_mv_normal(np.zeros(v.shape[0]), v, gen, size=n)
-                out["delta_alpha"] = zl[:, None] * draws
+                units.delta_alpha = z[:, None] * sample_mv_normal(np.zeros(v.shape[0]), v, gen, size=n)
             else:
-                out["delta_alpha"] = zl * np.sqrt(v) * gen.standard_normal(n)
-    return UnitState(z=z, delta_alpha=out.get("delta_alpha"), delta_rho=out.get("delta_rho"),
-                     delta_sigma=out.get("delta_sigma"))
+                units.delta_alpha = z * np.sqrt(v) * gen.standard_normal(n)
+        elif label == "rho":
+            units.delta_rho = z * np.sqrt(theta.v_delta_rho) * gen.standard_normal(n)
+        else:
+            v = getattr(theta, "v_delta_" + label)
+            slab = sample_inverse_gamma(ig_spec_from_variance(v), gen, size=n) if v else np.ones(n)
+            setattr(units, "delta_" + label, np.where(z == 1, slab, 1.0))
+    return units
 
 
-def ig_from_v(v: float) -> InverseGammaSpec:
-    from sparsepanel.distributions import ig_spec_from_variance
-
-    return ig_spec_from_variance(v)
+def simulate_m1_given(theta: CommonState, units: UnitState, t: int, rng) -> np.ndarray:
+    """Outcomes y, shape (n, t+1), of the autoregressive panel for given unit
+    deviations, starting from y_0 = 0."""
+    gen = as_generator(rng)
+    sigma_i = np.sqrt(theta.sigma2 * units.delta_sigma)
+    alpha_i = theta.alpha + units.delta_alpha
+    rho_i = theta.rho + units.delta_rho
+    n = rho_i.shape[0]
+    y = np.zeros((n, t + 1))
+    shocks = gen.standard_normal((n, t))
+    for step in range(1, t + 1):
+        y[:, step] = alpha_i + rho_i * y[:, step - 1] + sigma_i * shocks[:, step - 1]
+    return y
 
 
 def simulate_m1(theta: CommonState, hyper: HyperParams, n: int, t: int, rng,
@@ -273,13 +286,7 @@ def simulate_m1(theta: CommonState, hyper: HyperParams, n: int, t: int, rng,
     if truth.delta_sigma is None:
         truth.delta_sigma = np.ones(n)
         truth.z["sigma"] = np.zeros(n, dtype=np.int64)
-    sigma_i = np.sqrt(theta.sigma2 * truth.delta_sigma)
-    alpha_i = theta.alpha + truth.delta_alpha
-    rho_i = theta.rho + truth.delta_rho
-    y = np.zeros((n, t + 1))
-    shocks = gen.standard_normal((n, t))
-    for step in range(1, t + 1):
-        y[:, step] = alpha_i + rho_i * y[:, step - 1] + sigma_i * shocks[:, step - 1]
+    y = simulate_m1_given(theta, truth, t, gen)
     data = PanelData(
         unit_ids=tuple(f"u{j:06d}" for j in range(n)),
         times=np.arange(t + 1),
@@ -287,6 +294,30 @@ def simulate_m1(theta: CommonState, hyper: HyperParams, n: int, t: int, rng,
         mask=np.ones((n, t + 1), dtype=bool),
     )
     return data, truth
+
+
+def simulate_m2_given(theta: CommonState, units: UnitState, x: np.ndarray, rng
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """States s, shape (n, T+1) with s_0 from its Normal prior, and outcomes
+    y, shape (n, T), of the latent-state model for given unit deviations and
+    regressors x of shape (n, T, k)."""
+    gen = as_generator(rng)
+    n, t, _ = x.shape
+    rho_i = theta.rho + units.delta_rho
+    alpha = np.atleast_1d(np.asarray(theta.alpha, dtype=float))
+    s = np.empty((n, t + 1))
+    s[:, 0] = theta.mu_s0 + np.sqrt(theta.v_s0) * gen.standard_normal(n)
+    eps = gen.standard_normal((n, t))
+    u = gen.standard_normal((n, t))
+    y = np.empty((n, t))
+    for step in range(1, t + 1):
+        sd_eps = np.sqrt(theta.sigma2_eps[step - 1] * units.delta_sigma_eps)
+        s[:, step] = rho_i * s[:, step - 1] + sd_eps * eps[:, step - 1]
+        x_t = x[:, step - 1]
+        sd_u = np.sqrt(theta.sigma2_u[step - 1] * units.delta_sigma_u)
+        y[:, step - 1] = (x_t @ alpha + np.sum(x_t * units.delta_alpha, axis=1) + s[:, step]
+                          + sd_u * u[:, step - 1])
+    return s, y
 
 
 def simulate_m2(theta: CommonState, hyper: HyperParams, n: int, t: int, experience_profile, rng
@@ -299,36 +330,16 @@ def simulate_m2(theta: CommonState, hyper: HyperParams, n: int, t: int, experien
     its Normal prior.
     """
     gen = as_generator(rng)
-    h = np.broadcast_to(np.asarray(experience_profile, dtype=float), (n, t)).copy()
-    truth = draw_unit_deviations(theta, n, gen, blocks=("alpha", "rho"))
-    for m, attr in (("sigma_u", "delta_sigma_u"), ("sigma_eps", "delta_sigma_eps")):
-        q = theta.q.get(m, 0.0)
-        v = theta.v_delta_sigma_u if m == "sigma_u" else theta.v_delta_sigma_eps
-        zl = (gen.random(n) < q).astype(np.int64)
-        truth.z[m] = zl
-        if v is not None and v > 0:
-            draws = sample_inverse_gamma(ig_from_v(v), gen, size=n)
-        else:
-            draws = np.ones(n)
-        setattr(truth, attr, np.where(zl == 1, draws, 1.0))
-    rho_i = theta.rho + truth.delta_rho
-    s = np.zeros((n, t + 1))
-    s[:, 0] = theta.mu_s0 + np.sqrt(theta.v_s0) * gen.standard_normal(n)
-    eps = gen.standard_normal((n, t))
-    u = gen.standard_normal((n, t))
-    y = np.full((n, t + 1), np.nan)
-    mask = np.zeros((n, t + 1), dtype=bool)
+    h = np.broadcast_to(np.asarray(experience_profile, dtype=float), (n, t))
+    truth = draw_unit_deviations(theta, n, gen, blocks=M2_BLOCKS)
     x = np.full((n, t + 1, 2), np.nan)
-    alpha = np.atleast_1d(np.asarray(theta.alpha, dtype=float))
-    for step in range(1, t + 1):
-        sd_eps = np.sqrt(theta.sigma2_eps[step - 1] * truth.delta_sigma_eps)
-        s[:, step] = rho_i * s[:, step - 1] + sd_eps * eps[:, step - 1]
-        x_t = np.column_stack([np.ones(n), h[:, step - 1] / 10.0])
-        sd_u = np.sqrt(theta.sigma2_u[step - 1] * truth.delta_sigma_u)
-        y[:, step] = x_t @ alpha + np.sum(x_t * truth.delta_alpha, axis=1) + s[:, step] + sd_u * u[:, step - 1]
-        mask[:, step] = True
-        x[:, step, :] = x_t
-    truth.s = s
+    x[:, 1:, 0] = 1.0
+    x[:, 1:, 1] = h / 10.0
+    truth.s, y_obs = simulate_m2_given(theta, truth, x[:, 1:], gen)
+    y = np.full((n, t + 1), np.nan)
+    y[:, 1:] = y_obs
+    mask = np.ones((n, t + 1), dtype=bool)
+    mask[:, 0] = False
     data = PanelData(
         unit_ids=tuple(f"u{j:06d}" for j in range(n)),
         times=np.arange(t + 1),

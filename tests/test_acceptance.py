@@ -34,6 +34,7 @@ from sparsepanel.blocks import (
     CommonState,
     HyperParams,
     RwmhAdaptState,
+    UnitState,
     update_common_regression,
     update_indicator_and_deviation_ig,
     update_indicator_and_deviation_normal,
@@ -47,16 +48,10 @@ from sparsepanel.distributions import (
     InverseWishartSpec,
     ig_spec_from_variance,
     sample_inverse_gamma,
+    sample_mv_normal,
 )
 from sparsepanel.forecast import PredictiveDraws, predict, score
-from sparsepanel.geweke import (
-    _draw_m2_common,
-    _draw_m2_units,
-    _simulate_m2_given,
-    run_geweke_m1,
-    run_geweke_m2,
-    z_statistics,
-)
+from sparsepanel.geweke import _draw_m2_common, run_geweke_m1, run_geweke_m2, z_statistics
 from sparsepanel.m2 import M2Config, run_m2, run_m2_individual
 from sparsepanel.mc import MCDesign, _cell_theta, run_experiment
 from sparsepanel.means import (
@@ -467,6 +462,44 @@ def test_criterion_7_rwmh_acceptance_rate():
 # ---------------------------------------------------------------------------
 
 
+def _draw_prior_units(common, n, t, k, gen):
+    """Unit deviations and states from the M2 prior. This is criterion 8's own
+    generator: it consumes random numbers in a different order from
+    `panel.draw_unit_deviations` (both indicator blocks first, then the
+    slabs), and it keeps the test's panels fixed at its pinned seeds."""
+    z = {}
+    z["alpha"] = (gen.random(n) < common.q["alpha"]).astype(np.int64)
+    z["rho"] = (gen.random(n) < common.q["rho"]).astype(np.int64)
+    delta_alpha = z["alpha"][:, None] * sample_mv_normal(
+        np.zeros(k), np.atleast_2d(common.v_delta_alpha), gen, size=n
+    )
+    delta_rho = z["rho"] * np.sqrt(common.v_delta_rho) * gen.standard_normal(n)
+    deltas = {}
+    for label, v in (("sigma_u", common.v_delta_sigma_u), ("sigma_eps", common.v_delta_sigma_eps)):
+        if v is None:
+            z[label] = np.zeros(n, dtype=np.int64)
+            deltas[label] = np.ones(n)
+        else:
+            z[label] = (gen.random(n) < common.q[label]).astype(np.int64)
+            draws = sample_inverse_gamma(ig_spec_from_variance(v), gen, size=n)
+            deltas[label] = np.where(z[label] == 1, draws, 1.0)
+    s = np.empty((n, t + 1))
+    s[:, 0] = common.mu_s0 + np.sqrt(common.v_s0) * gen.standard_normal(n)
+    phi = common.rho + delta_rho
+    for step in range(1, t + 1):
+        sd = np.sqrt(common.sigma2_eps[step - 1] * deltas["sigma_eps"])
+        s[:, step] = phi * s[:, step - 1] + sd * gen.standard_normal(n)
+    return UnitState(z=z, delta_alpha=delta_alpha, delta_rho=delta_rho,
+                     delta_sigma_u=deltas["sigma_u"], delta_sigma_eps=deltas["sigma_eps"], s=s)
+
+
+def _outcomes_given_states(common, units, x, gen):
+    n, t, k = x.shape
+    sd_u = np.sqrt(common.sigma2_u[None, :] * units.delta_sigma_u[:, None])
+    fitted = np.einsum("itk,ik->it", x, common.alpha[None, :] + units.delta_alpha)
+    return fitted + units.s[:, 1:] + sd_u * gen.standard_normal((n, t))
+
+
 def _prior_truth_panel(seed, n, t, k=2):
     """Draw truth from the sampler's prior (restricted to stationary unit
     dynamics), simulate t in-sample periods plus one holdout period with the
@@ -476,7 +509,7 @@ def _prior_truth_panel(seed, n, t, k=2):
     gen = np.random.default_rng(seed)
     while True:
         common = _draw_m2_common(hyper, k, t + 1, config, gen)
-        units = _draw_m2_units(common, n, t + 1, k, gen)
+        units = _draw_prior_units(common, n, t + 1, k, gen)
         if np.all(np.abs(common.rho + units.delta_rho) < 0.98):
             break
     common.sigma2_u[t] = common.sigma2_u[t - 1]
@@ -486,7 +519,7 @@ def _prior_truth_panel(seed, n, t, k=2):
         + sd * gen.standard_normal(n)
     h = np.cumsum(np.ones((n, t + 1)), axis=1)
     x_obs = np.stack([np.ones((n, t + 1)), h / 10.0], axis=-1)
-    y_obs = _simulate_m2_given(common, units, x_obs, gen)
+    y_obs = _outcomes_given_states(common, units, x_obs, gen)
     y = np.column_stack([np.full(n, np.nan), y_obs[:, :t]])
     mask = np.ones((n, t + 1), dtype=bool)
     mask[:, 0] = False

@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
-from sparsepanel.cli import main, validate_config
+from sparsepanel import cli
+from sparsepanel.cli import _default_m2_truth, main, validate_config
+from sparsepanel.panel import load_panel
+from sparsepanel.rng import as_generator
 
 
 def run_cli(argv, capsys):
@@ -174,3 +178,55 @@ def test_decompose_command(tmp_path, capsys):
     # no intercept heterogeneity: the intercept share column is exactly zero
     shares = [float(line.split(",")[4]) for line in lines[1:]]
     assert shares == [0.0] * 6
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bit_range_exits_2(seed, tmp_path, capsys):
+    _, errors, _ = validate_config({"seed": seed})
+    assert any(e.startswith("seed:") for e in errors)
+    code, out, err = run_cli(["simulate", "--seed", str(seed), "--out", str(tmp_path / "o")],
+                             capsys)
+    assert code == 2
+    assert "error: seed:" in err
+    assert out == ""
+
+
+def test_default_m2_truth_is_stationary(tmp_path, capsys):
+    theta = _default_m2_truth(20)
+    sd = np.sqrt(theta.v_delta_rho)
+    # closed-form share of slab units with |rho_i| >= 1
+    explosive = norm.sf(1.0, theta.rho, sd) + norm.cdf(-1.0, theta.rho, sd)
+    assert explosive < 1e-4
+    out_dir = tmp_path / "sim"
+    code, _, _ = run_cli(["simulate", "--model", "m2", "--n", "400", "--t", "20", "--seed", "1",
+                          "--out", str(out_dir)], capsys)
+    assert code == 0
+    y = load_panel(out_dir / "panel.csv").y
+    assert np.nanmax(np.abs(y)) < 10
+
+
+def test_unit_chain_streams_do_not_collide_across_seeds(tmp_path, capsys, monkeypatch):
+    sim = tmp_path / "sim"
+    run_cli(["simulate", "--model", "m2", "--n", "2", "--t", "5", "--seed", "3",
+             "--out", str(sim)], capsys)
+    real = cli.run_m2_individual
+    states = []
+
+    def spy(*args, rng, **kwargs):
+        states.append(repr(as_generator(rng).bit_generator.state))
+        return real(*args, rng=rng, **kwargs)
+
+    monkeypatch.setattr(cli, "run_m2_individual", spy)
+    per_seed = {}
+    for seed in (0, 1):
+        states.clear()
+        code, _, _ = run_cli(
+            ["forecast", "--model", "m2", "--data", str(sim / "panel.csv"), "--draws", "4",
+             "--burnin", "2", "--seed", str(seed), "--scenario", "individual_info",
+             "--out", str(tmp_path / f"fc{seed}")], capsys)
+        assert code == 0
+        per_seed[seed] = list(states)
+    assert len(per_seed[0]) == len(per_seed[1]) == 2
+    assert per_seed[0][0] != per_seed[0][1]
+    # unit 1 at seed 0 and unit 0 at seed 1 draw from different streams
+    assert per_seed[0][1] != per_seed[1][0]

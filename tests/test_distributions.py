@@ -9,8 +9,6 @@ from sparsepanel.distributions import (
     ParameterDomainError,
     TruncatedNormalSpec,
     ig_spec_from_variance,
-    log_density,
-    sample_bernoulli,
     sample_beta,
     sample_inverse_gamma,
     sample_inverse_wishart,
@@ -79,16 +77,6 @@ def test_sample_beta_uniform_case():
     assert np.mean(draws) == pytest.approx(0.5, abs=0.005)
 
 
-def test_sample_bernoulli_degenerate_and_rate():
-    rng = RngStream(5, 0)
-    assert np.all(sample_bernoulli(np.zeros(100), rng) == 0)
-    assert np.all(sample_bernoulli(np.ones(100), rng) == 1)
-    draws = sample_bernoulli(np.full(200_000, 0.3), rng)
-    assert np.mean(draws) == pytest.approx(0.3, abs=0.005)
-    with pytest.raises(ParameterDomainError):
-        sample_bernoulli(1.5, rng)
-
-
 def test_sample_mv_normal_moments():
     mean = np.array([1.0, -2.0])
     cov = np.array([[2.0, 0.6], [0.6, 0.5]])
@@ -142,27 +130,6 @@ def test_sample_truncated_normal_support_and_ks():
     assert np.all(draws > 0.0)
     ref = stats.truncnorm(a=(0.0 - 0.5) / 2.0, b=np.inf, loc=0.5, scale=2.0)
     assert stats.kstest(draws, ref.cdf).statistic < 0.005
-
-
-def test_log_density_values():
-    assert log_density("normal", (0.0, 1.0), 0.0) == pytest.approx(-0.9189385332046727)
-    spec = InverseGammaSpec(nu=6.0, tau=4.0)
-    assert log_density("inverse_gamma", spec, 1.0) == pytest.approx(
-        stats.invgamma(a=3.0, scale=2.0).logpdf(1.0)
-    )
-    assert log_density("inverse_gamma", spec, -1.0) == -np.inf
-    assert log_density("beta", (2.0, 3.0), 0.5) == pytest.approx(stats.beta(2, 3).logpdf(0.5))
-    assert log_density("beta", (2.0, 3.0), 1.5) == -np.inf
-    tn = TruncatedNormalSpec(center=0.5, lower_bound=0.0, scale=2.0)
-    ref = stats.truncnorm(a=-0.25, b=np.inf, loc=0.5, scale=2.0)
-    assert log_density("truncated_normal", tn, 1.3) == pytest.approx(ref.logpdf(1.3))
-    assert log_density("truncated_normal", tn, -0.1) == -np.inf
-    iw = InverseWishartSpec(dof=5.0, scale=np.eye(2))
-    assert log_density("inverse_wishart", iw, np.eye(2)) == pytest.approx(
-        stats.invwishart(df=5.0, scale=np.eye(2)).logpdf(np.eye(2))
-    )
-    with pytest.raises(ParameterDomainError):
-        log_density("gamma", (1.0, 1.0), 1.0)
 
 
 def test_reproducibility_bit_identical():

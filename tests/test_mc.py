@@ -2,20 +2,10 @@
 
 import json
 
-import numpy as np
 import pytest
 
-from sparsepanel.m1 import ConfigurationError, M1Config, run_m1
-from sparsepanel.mc import (
-    MCDesign,
-    _cell_theta,
-    _estimator_config,
-    _kde_on_unit_grid,
-    histogram_export,
-    run_experiment,
-    write_histogram_export,
-)
-from sparsepanel.panel import simulate_m1
+from sparsepanel.m1 import ConfigurationError
+from sparsepanel.mc import MCDesign, _cell_theta, _estimator_config, run_experiment
 
 
 def tiny_design(**kw):
@@ -103,31 +93,3 @@ def test_risk_table_accessors_and_write(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["n_sim"] == 3
     assert manifest["estimators"] == ["ss", "q0", "oracle"]
-
-
-def test_kde_normalizes_and_handles_degenerate():
-    rng = np.random.default_rng(0)
-    grid, density = _kde_on_unit_grid(rng.beta(2.0, 5.0, size=2000))
-    assert np.all(density >= 0)
-    np.testing.assert_allclose(np.trapezoid(density, grid), 1.0, rtol=1e-10)
-    # boundary reflection keeps mass near 0 instead of leaking it
-    assert density[0] > 0.1
-    grid, density = _kde_on_unit_grid(np.full(100, 0.25))
-    np.testing.assert_allclose(np.trapezoid(density, grid), 1.0, rtol=1e-6)
-    assert np.count_nonzero(density) == 1
-
-
-def test_histogram_export_and_write(tmp_path):
-    d = tiny_design()
-    data, _ = simulate_m1(d.theta, d.hyper, 15, 8, np.random.default_rng(2))
-    chain = run_m1(data, M1Config(variant="ss_homosk", n_draws=80, burn_in=40),
-                   np.random.default_rng(3))
-    export = histogram_export(chain)
-    assert export["estimate_alpha_i"].shape == (15,)
-    assert export["grid"].shape == (512,)
-    for name in ("density_q_alpha", "density_q_rho"):
-        np.testing.assert_allclose(np.trapezoid(export[name], export["grid"]), 1.0, rtol=1e-8)
-    write_histogram_export(export, tmp_path)
-    lines = (tmp_path / "point_estimates.csv").read_text().splitlines()
-    assert len(lines) == 16
-    assert (tmp_path / "q_densities.csv").exists()

@@ -1,6 +1,8 @@
 """Tests for panel ingestion, serialization, sample construction, and the
 model simulators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sparsepanel.panel import (
     PanelData,
     PanelIngestionError,
     SampleSpec,
+    draw_unit_deviations,
     load_panel,
     make_estimation_sample,
     residualize,
@@ -204,3 +207,30 @@ def test_simulate_m2_structure():
     fitted = data.x[:, 1, :] @ np.asarray(theta.alpha) + (data.x[:, 1, :] * truth.delta_alpha).sum(axis=1)
     resid = data.y[:, 1] - fitted - truth.s[:, 1]
     assert resid.var() == pytest.approx(0.1, rel=0.05)
+
+
+def test_draw_unit_deviations_all_blocks():
+    q = {"alpha": 0.3, "rho": 0.5, "sigma": 0.2, "sigma_u": 0.6, "sigma_eps": 0.4}
+    theta = CommonState(
+        alpha=np.zeros(2), rho=0.5, q=q, v_delta_alpha=np.diag([0.5, 0.1]), v_delta_rho=0.04,
+        v_delta_sigma=0.5, v_delta_sigma_u=1.0, v_delta_sigma_eps=None,
+    )
+    n = 40_000
+    units = draw_unit_deviations(theta, n, RngStream(seed=27, stream_id=0), blocks=tuple(q))
+    for label, rate in q.items():
+        assert units.z[label].mean() == pytest.approx(rate, abs=4 * np.sqrt(rate * (1 - rate) / n))
+    z_a, z_r = units.z["alpha"] == 1, units.z["rho"] == 1
+    assert units.delta_alpha.shape == (n, 2)
+    assert np.all(units.delta_alpha[~z_a] == 0.0) and np.all(units.delta_rho[~z_r] == 0.0)
+    np.testing.assert_allclose(units.delta_alpha[z_a].var(axis=0), [0.5, 0.1], rtol=0.05)
+    assert units.delta_rho[z_r].var() == pytest.approx(0.04, rel=0.05)
+    for label in ("sigma", "sigma_u"):
+        delta, z = getattr(units, "delta_" + label), units.z[label] == 1
+        assert np.all(delta[~z] == 1.0)
+        # unit-mean inverse-gamma slab
+        assert delta[z].mean() == pytest.approx(1.0, abs=4 * delta[z].std() / np.sqrt(z.sum()))
+    # no slab variance: every unit sits at the spike
+    assert np.all(units.delta_sigma_eps == 1.0)
+    scalar = draw_unit_deviations(replace(theta, v_delta_alpha=0.5), 10, RngStream(seed=28),
+                                  blocks=("alpha",))
+    assert scalar.delta_alpha.shape == (10,) and scalar.delta_rho is None

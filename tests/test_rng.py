@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparsepanel
 from sparsepanel.rng import RngStream, as_generator
 
 
@@ -49,3 +52,10 @@ def test_first_level_substream_key_unchanged():
     ss = np.random.SeedSequence(7, spawn_key=(2, 3))
     expected = np.random.Generator(np.random.Philox(ss)).random(8)
     assert np.array_equal(RngStream(7, 2).substream(3).generator.random(8), expected)
+
+
+def test_package_draws_only_from_rng_streams():
+    # every random number in the package comes from an RngStream key
+    package = Path(sparsepanel.__file__).parent
+    offenders = [p.name for p in sorted(package.glob("*.py")) if "default_rng(" in p.read_text()]
+    assert offenders == []
