@@ -98,13 +98,16 @@ class ChainOutput:
             written.append(fname)
         manifest = {
             "config": self.config,
-            "diagnostics": self.diagnostics,
+            # NaN (an acceptance rate with no proposals) is not JSON; write null
+            "diagnostics": {k: v if np.isfinite(v) else None
+                            for k, v in self.diagnostics.items()},
             "files": written,
             "unit_ids": list(self.unit_ids),
             "content_sha256": digest.hexdigest(),
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
-        (path / "manifest.json").write_text(json.dumps(manifest, indent=2, default=_json_default) + "\n")
+        (path / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, default=_json_default, allow_nan=False) + "\n")
 
 
 def _json_default(obj):

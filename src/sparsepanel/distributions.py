@@ -6,10 +6,11 @@ density proportional to x^-(nu/2+1) exp(-tau/(2x)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from sparsepanel.rng import as_generator
 
@@ -59,22 +60,17 @@ class InverseWishartSpec:
         d = scale.shape[0]
         if scale.shape != (d, d) or not np.allclose(scale, scale.T):
             raise MatrixDomainError("inverse-Wishart scale must be a symmetric matrix")
-        try:
-            np.linalg.cholesky(scale)
-        except np.linalg.LinAlgError as exc:
-            raise MatrixDomainError("inverse-Wishart scale must be positive definite") from exc
+        if _cholesky(scale, 0.0) is None:
+            raise MatrixDomainError("inverse-Wishart scale must be positive definite")
         if not self.dof > d - 1:
             raise ParameterDomainError(f"inverse-Wishart dof must exceed dim-1={d - 1}, got {self.dof}")
 
     @property
-    def dim(self) -> int:
-        return self.scale.shape[0]
-
-    @property
     def mean(self) -> np.ndarray:
-        if self.dof <= self.dim + 1:
+        d = self.scale.shape[0]
+        if self.dof <= d + 1:
             raise ParameterDomainError("IW mean requires dof > dim + 1")
-        return self.scale / (self.dof - self.dim - 1.0)
+        return self.scale / (self.dof - d - 1.0)
 
 
 @dataclass(frozen=True)
@@ -114,29 +110,62 @@ def sample_beta(a: float, b: float, rng, size=None):
     return x / (x + y)
 
 
+def _close(x: float, y: float) -> bool:
+    """np.isclose(x, y, rtol=1e-8, atol=1e-12) on Python floats."""
+    return x == y or (abs(x - y) <= 1e-12 + 1e-8 * abs(y) and math.isfinite(y))
+
+
+def _is_symmetric(cov: np.ndarray) -> bool:
+    """np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12); for k <= 2 on Python floats."""
+    if cov.shape[0] > 2:
+        return np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12)
+    m = cov.tolist()  # for k = 1, a, b, c and d are all m[0][0]
+    (a, b), (c, d) = (m[0][0], m[0][-1]), (m[-1][0], m[-1][-1])
+    return _close(a, a) and _close(d, d) and _close(b, c) and _close(c, b)
+
+
+def _cholesky(cov: np.ndarray, bump: float):
+    """Lower Cholesky factor of cov + bump * I, or None if not PD; a closed form for k <= 2."""
+    k = cov.shape[0]
+    if k > 2:
+        try:
+            return np.linalg.cholesky(cov + bump * np.eye(k))
+        except np.linalg.LinAlgError:
+            return None
+    c = cov.tolist()
+    a11 = c[0][0] + bump
+    if not a11 > 0:
+        return None
+    l11 = math.sqrt(a11)
+    if k == 1:
+        return np.array([[l11]])
+    l21 = c[1][0] * (1.0 / l11)  # LAPACK's order of operations
+    a22 = c[1][1] + bump - l21 * l21
+    if not a22 > 0:
+        return None
+    return np.array([[l11, 0.0], [l21, math.sqrt(a22)]])
+
+
 def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor, adding a tiny diagonal jitter up to 3 times on failure."""
     cov = np.asarray(cov, dtype=float)
-    if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
+    if not _is_symmetric(cov):
         raise MatrixDomainError("covariance must be symmetric")
-    jitter = 1e-10 * np.trace(cov) / cov.shape[0]
     for attempt in range(4):
-        try:
-            bump = 0.0 if attempt == 0 else jitter * 10 ** (attempt - 1)
-            return np.linalg.cholesky(cov + bump * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
+        chol = _cholesky(cov, attempt and 1e-10 * cov.trace() / cov.shape[0] * 10 ** (attempt - 1))
+        if chol is not None:
+            return chol
     raise MatrixDomainError("covariance not positive definite even after jitter")
 
 
 def sample_mv_normal(mean, cov, rng, size=None):
     """Multivariate normal draw; degenerate (all-zero) covariance returns the mean."""
     gen = as_generator(rng)
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    mean = np.array(mean, dtype=float, ndmin=1, copy=None)
+    cov = np.array(cov, dtype=float, ndmin=2, copy=None)
     if cov.shape != (mean.size, mean.size):
         raise MatrixDomainError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-    if not np.any(cov):
+    if not np.count_nonzero(cov):
         if size is None:
             return mean.copy()
         return np.broadcast_to(mean, (size, mean.size)).copy()
@@ -146,14 +175,28 @@ def sample_mv_normal(mean, cov, rng, size=None):
     return mean + z @ chol.T
 
 
-def sample_inverse_wishart(spec: InverseWishartSpec, rng, size=None):
-    """Inverse-Wishart draw (Bartlett decomposition, via scipy); SPD by construction."""
+def sample_inverse_wishart(dof: float, scale: np.ndarray, rng, size=None):
+    """IW(dof, scale) draw L L', L = C A^-1, for SPD scale = C C' (a conjugate posterior's is).
+
+    A is lower triangular with A_ii^2 ~ chi2(dof - k + 1 + i) and A_ij ~ N(0, 1)
+    below the diagonal: the Bartlett factor (Smith & Hocking 1972) in reversed
+    order. One draw uses the generator as scipy's invwishart.rvs does.
+    """
     gen = as_generator(rng)
-    draw = stats.invwishart.rvs(df=spec.dof, scale=spec.scale, size=1 if size is None else size, random_state=gen)
-    draw = np.atleast_2d(np.asarray(draw, dtype=float))
-    if size is None:
-        return draw.reshape(spec.dim, spec.dim)
-    return draw.reshape(size, spec.dim, spec.dim)
+    scale = np.asarray(scale, dtype=float)
+    chol = _cholesky(scale, 0.0)
+    if chol is None:
+        raise MatrixDomainError("inverse-Wishart scale must be positive definite")
+    k = scale.shape[0]
+    n = 1 if size is None else size
+    a = np.zeros((n, k, k))
+    for i in range(1, k):
+        a[:, i, :i] = gen.standard_normal((n, i))
+    for i in range(k):
+        a[:, i, i] = np.sqrt(gen.chisquare(dof - k + 1 + i, size=n))
+    lower = chol @ np.linalg.inv(a)
+    draw = lower @ lower.swapaxes(1, 2)
+    return draw[0] if size is None else draw
 
 
 def sample_truncated_normal(spec: TruncatedNormalSpec, rng, size=None):

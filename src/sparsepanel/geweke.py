@@ -137,11 +137,12 @@ def _draw_m2_common(hyper: HyperParams, k: int, t: int, config, gen) -> CommonSt
     }
     prior_cov = np.atleast_2d(np.asarray(hyper.v_alpha, dtype=float))
     mu = np.broadcast_to(np.asarray(hyper.mu_alpha, dtype=float), (k,))
+    iw = hyper.v_delta_alpha_iw
     return CommonState(
         alpha=sample_mv_normal(mu, prior_cov, gen),
         rho=float(hyper.mu_rho + np.sqrt(hyper.v_rho) * gen.standard_normal()),
         q=q,
-        v_delta_alpha=sample_inverse_wishart(hyper.v_delta_alpha_iw, gen),
+        v_delta_alpha=sample_inverse_wishart(iw.dof, iw.scale, gen),
         v_delta_rho=float(sample_inverse_gamma(hyper.v_delta_rho, gen)),
         sigma2_u=sample_inverse_gamma(hyper.sigma2_u, gen, size=t),
         sigma2_eps=sample_inverse_gamma(hyper.sigma2_eps, gen, size=t),

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from sparsepanel import cli
 from sparsepanel.cli import _default_m2_truth, main, validate_config
 from sparsepanel.panel import load_panel
 from sparsepanel.rng import as_generator
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv, capsys):
@@ -230,3 +236,37 @@ def test_unit_chain_streams_do_not_collide_across_seeds(tmp_path, capsys, monkey
     assert per_seed[0][0] != per_seed[0][1]
     # unit 1 at seed 0 and unit 0 at seed 1 draw from different streams
     assert per_seed[0][1] != per_seed[1][0]
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard constants NaN and +-Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("model, variant", [("m1", "ss_homosk"), ("m2", "homosk")])
+def test_chain_manifest_is_strict_json(model, variant, tmp_path, capsys):
+    # homoskedastic variants make no RWMH proposals, so their acceptance rate is undefined
+    sim = tmp_path / "sim"
+    code, _, _ = run_cli(["simulate", "--model", model, "--n", "6", "--t", "5", "--seed", "3",
+                          "--out", str(sim)], capsys)
+    assert code == 0
+    chain_dir = tmp_path / "chain"
+    code, _, _ = run_cli(["estimate", "--model", model, "--variant", variant,
+                          "--data", str(sim / "panel.csv"), "--draws", "40", "--burnin", "20",
+                          "--out", str(chain_dir)], capsys)
+    assert code == 0
+    manifest = strict_json((chain_dir / "manifest.json").read_text())
+    undefined = [name for name, value in manifest["diagnostics"].items() if value is None]
+    assert undefined and all(name.startswith("rwmh_acceptance") for name in undefined)
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_optimize():
+    code = ("import sys, sparsepanel.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

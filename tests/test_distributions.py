@@ -110,11 +110,53 @@ def test_sample_mv_normal_shape_mismatch():
 def test_sample_inverse_wishart_mean():
     spec = InverseWishartSpec(dof=5.05, scale=np.diag([0.5, 0.1]))
     expected = spec.scale / (5.05 - 3.0)
-    draws = sample_inverse_wishart(spec, RngStream(13, 0), size=200_000)
+    draws = sample_inverse_wishart(spec.dof, spec.scale, RngStream(13, 0), size=200_000)
     assert np.allclose(draws.mean(axis=0), expected, atol=0.01)
-    single = sample_inverse_wishart(spec, RngStream(13, 1))
+    single = sample_inverse_wishart(spec.dof, spec.scale, RngStream(13, 1))
     assert single.shape == (2, 2)
     np.linalg.cholesky(single)  # SPD
+
+
+@pytest.mark.parametrize("dof, scale", [(25.0, [[0.7]]), (30.0, [[0.5, 0.15], [0.15, 0.1]])])
+def test_sample_inverse_wishart_element_moments(dof, scale):
+    # IW(nu, S) in p dimensions: E X = S / (nu - p - 1), and
+    # Var X_ij = [(nu-p+1) s_ij^2 + (nu-p-1) s_ii s_jj] / [(nu-p) (nu-p-1)^2 (nu-p-3)].
+    # A large dof keeps the fourth moments, and so the stderr of the variance, finite.
+    scale = np.array(scale)
+    p = scale.shape[0]
+    draws = sample_inverse_wishart(dof, scale, RngStream(21, p), size=200_000)
+    mean = scale / (dof - p - 1)
+    s_diag = np.diag(scale)
+    var = ((dof - p + 1) * scale**2 + (dof - p - 1) * np.outer(s_diag, s_diag)) / (
+        (dof - p) * (dof - p - 1) ** 2 * (dof - p - 3))
+    root_n = np.sqrt(draws.shape[0])
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * draws.std(axis=0) / root_n)
+    dev2 = (draws - draws.mean(axis=0)) ** 2
+    assert np.all(np.abs(dev2.mean(axis=0) - var) < 4 * dev2.std(axis=0) / root_n)
+    assert np.all(draws == draws.swapaxes(1, 2))
+
+
+def test_single_inverse_wishart_draw_equals_scipy():
+    # scipy.stats is the oracle here only; the package draws without it. A
+    # single draw uses the same construction and the same stream as scipy's.
+    gen = np.random.default_rng(29)
+    for k in (1, 2, 3):
+        a = gen.normal(size=(k, k))
+        scale = a @ a.T + 0.3 * np.eye(k)
+        for dof in (k - 0.5, k + 3.05, k + 20.0):
+            draw = sample_inverse_wishart(dof, scale, np.random.default_rng(k))
+            ref = stats.invwishart.rvs(df=dof, scale=scale, random_state=np.random.default_rng(k))
+            np.testing.assert_allclose(draw, np.atleast_2d(ref), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dof", [5.05, 9.0])
+def test_sample_inverse_wishart_matches_scipy(dof):
+    # A batch draws its normals and chi2s in another order than scipy's batch.
+    scale = np.array([[0.5, 0.15], [0.15, 0.1]])
+    draws = sample_inverse_wishart(dof, scale, RngStream(23, 0), size=100_000)
+    ref = stats.invwishart.rvs(df=dof, scale=scale, size=100_000, random_state=np.random.default_rng(23))
+    assert stats.ks_2samp(draws[:, 0, 1], ref[:, 0, 1]).pvalue > 0.01
+    assert stats.ks_2samp(np.linalg.det(draws), np.linalg.det(ref)).pvalue > 0.01
 
 
 def test_inverse_wishart_spec_domain():
