@@ -18,6 +18,7 @@ from sparsepanel.distributions import (
     InverseGammaSpec,
     InverseWishartSpec,
     TruncatedNormalSpec,
+    _inv,
     sample_beta,
     sample_inverse_gamma,
     sample_inverse_wishart,
@@ -140,19 +141,6 @@ class RwmhAdaptState:
         return self.accepted / self.proposed if self.proposed else float("nan")
 
 
-def _inv(m: np.ndarray) -> np.ndarray:
-    """Matrix inverse; the closed form for a nonsingular k <= 2, LAPACK otherwise."""
-    k = m.shape[0]
-    if k == 1 and m[0, 0] != 0:
-        return 1.0 / m
-    if k == 2:
-        (a, b), (c, d) = m.tolist()
-        det = a * d - b * c
-        if det != 0:
-            return np.array([[d / det, -b / det], [-c / det, a / det]])
-    return np.linalg.inv(m)
-
-
 def update_common_regression(prior_mean, prior_cov, xtx, xty, rng):
     """Normal draw for a regression-coefficient block.
 
@@ -160,10 +148,10 @@ def update_common_regression(prior_mean, prior_cov, xtx, xty, rng):
     x y / sigma^2 over all observations); with no data both are zero and the
     draw comes from the prior.
     """
-    prior_mean = np.array(prior_mean, dtype=float, ndmin=1, copy=None)
-    prior_cov = np.array(prior_cov, dtype=float, ndmin=2, copy=None)
-    xtx = np.array(xtx, dtype=float, ndmin=2, copy=None)
-    xty = np.array(xty, dtype=float, ndmin=1, copy=None)
+    prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
+    prior_cov = np.atleast_2d(np.asarray(prior_cov, dtype=float))
+    xtx = np.atleast_2d(np.asarray(xtx, dtype=float))
+    xty = np.atleast_1d(np.asarray(xty, dtype=float))
     prior_prec = _inv(prior_cov)
     post_cov = _inv(prior_prec + xtx)
     post_cov = 0.5 * (post_cov + post_cov.T)
@@ -188,7 +176,7 @@ def update_v_delta_normal(z, deltas, spec: InverseGammaSpec, rng) -> float:
 
 def update_v_delta_alpha_iw(z, deltas, spec: InverseWishartSpec, rng) -> np.ndarray:
     """Covariance of a vector-valued Normal slab given the active deviation vectors."""
-    active = np.array(deltas, dtype=float, ndmin=2, copy=None)[np.asarray(z, dtype=bool)]
+    active = np.atleast_2d(np.asarray(deltas, dtype=float))[np.asarray(z, dtype=bool)]
     # The prior scale is SPD and the scatter is PSD, so the posterior scale is SPD.
     return sample_inverse_wishart(spec.dof + active.shape[0], spec.scale + active.T @ active, rng)
 

@@ -60,8 +60,10 @@ class InverseWishartSpec:
         d = scale.shape[0]
         if scale.shape != (d, d) or not np.allclose(scale, scale.T):
             raise MatrixDomainError("inverse-Wishart scale must be a symmetric matrix")
-        if _cholesky(scale, 0.0) is None:
-            raise MatrixDomainError("inverse-Wishart scale must be positive definite")
+        try:
+            np.linalg.cholesky(scale)
+        except np.linalg.LinAlgError as exc:
+            raise MatrixDomainError("inverse-Wishart scale must be positive definite") from exc
         if not self.dof > d - 1:
             raise ParameterDomainError(f"inverse-Wishart dof must exceed dim-1={d - 1}, got {self.dof}")
 
@@ -146,6 +148,19 @@ def _cholesky(cov: np.ndarray, bump: float):
     return np.array([[l11, 0.0], [l21, math.sqrt(a22)]])
 
 
+def _inv(m: np.ndarray) -> np.ndarray:
+    """Matrix inverse; the closed form for a nonsingular k <= 2, LAPACK otherwise."""
+    k = m.shape[0]
+    if k == 1 and m[0, 0] != 0:
+        return 1.0 / m
+    if k == 2:
+        (a, b), (c, d) = m.tolist()
+        det = a * d - b * c
+        if det != 0:
+            return np.array([[d / det, -b / det], [-c / det, a / det]])
+    return np.linalg.inv(m)
+
+
 def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor, adding a tiny diagonal jitter up to 3 times on failure."""
     cov = np.asarray(cov, dtype=float)
@@ -161,8 +176,8 @@ def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
 def sample_mv_normal(mean, cov, rng, size=None):
     """Multivariate normal draw; degenerate (all-zero) covariance returns the mean."""
     gen = as_generator(rng)
-    mean = np.array(mean, dtype=float, ndmin=1, copy=None)
-    cov = np.array(cov, dtype=float, ndmin=2, copy=None)
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if cov.shape != (mean.size, mean.size):
         raise MatrixDomainError(f"cov shape {cov.shape} does not match mean length {mean.size}")
     if not np.count_nonzero(cov):
@@ -183,11 +198,10 @@ def sample_inverse_wishart(dof: float, scale: np.ndarray, rng, size=None):
     order. One draw uses the generator as scipy's invwishart.rvs does.
     """
     gen = as_generator(rng)
-    scale = np.asarray(scale, dtype=float)
-    chol = _cholesky(scale, 0.0)
+    chol = _cholesky(np.asarray(scale, dtype=float), 0.0)
     if chol is None:
         raise MatrixDomainError("inverse-Wishart scale must be positive definite")
-    k = scale.shape[0]
+    k = chol.shape[0]
     n = 1 if size is None else size
     a = np.zeros((n, k, k))
     for i in range(1, k):
