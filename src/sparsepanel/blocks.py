@@ -146,7 +146,8 @@ def update_common_regression(prior_mean, prior_cov, xtx, xty, rng):
 
     `xtx` and `xty` are precision-weighted data sums (sum of x x' / sigma^2 and
     x y / sigma^2 over all observations); with no data both are zero and the
-    draw comes from the prior.
+    draw comes from the prior. With a leading batch axis, xtx (B, k, k) and
+    xty (B, k), it draws B independent blocks under the one prior.
     """
     prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
     prior_cov = np.atleast_2d(np.asarray(prior_cov, dtype=float))
@@ -154,8 +155,12 @@ def update_common_regression(prior_mean, prior_cov, xtx, xty, rng):
     xty = np.atleast_1d(np.asarray(xty, dtype=float))
     prior_prec = _inv(prior_cov)
     post_cov = _inv(prior_prec + xtx)
-    post_cov = 0.5 * (post_cov + post_cov.T)
-    post_mean = post_cov @ (prior_prec @ prior_mean + xty)
+    if post_cov.ndim == 3:
+        post_cov = 0.5 * (post_cov + post_cov.swapaxes(1, 2))
+        post_mean = (post_cov @ (prior_prec @ prior_mean + xty)[:, :, None])[:, :, 0]
+    else:
+        post_cov = 0.5 * (post_cov + post_cov.T)
+        post_mean = post_cov @ (prior_prec @ prior_mean + xty)
     draw = sample_mv_normal(post_mean, post_cov, rng)
     return draw, post_mean, post_cov
 

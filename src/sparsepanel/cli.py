@@ -38,9 +38,9 @@ from sparsepanel.rng import RngStream
 COMMANDS = ("simulate", "estimate", "montecarlo", "forecast", "decompose")
 
 # Every command draws from RngStream(seed, <purpose>) with one of these
-# purposes; single-unit chain i draws from its .substream(i). `montecarlo`
-# keys its cells and replications under RngStream(seed, 0) (see
-# mc.run_experiment).
+# purposes; the single-unit models of all units run as one chain on
+# UNIT_CHAINS_STREAM. `montecarlo` keys its cells and replications under
+# RngStream(seed, 0) (see mc.run_experiment).
 SIMULATE_STREAM = 1
 CHAIN_STREAM = 2
 PREDICT_STREAM = 3
@@ -312,18 +312,14 @@ def _cmd_forecast(rc: RunConfig) -> Dict:
     out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(rc.seed, PREDICT_STREAM)
     if rc.scenario == "individual_info":
-        _progress(f"estimating {len(data.unit_ids)} single-unit chains")
-        units_rng = RngStream(rc.seed, UNIT_CHAINS_STREAM)
-        chains = [
-            run_m2_individual(data.y[i, 1:], data.x[i, 1:, :], n_draws=rc.draws,
-                              burn_in=rc.burnin, rng=units_rng.substream(i), thin=rc.thin)
-            for i in range(len(data.unit_ids))
-        ]
-        pred = predict(chains, data, rc.horizons, rc.scenario, rng)
+        _progress(f"estimating the single-unit models of {len(data.unit_ids)} units")
+        chain = run_m2_individual(data.y[:, 1:], data.x[:, 1:, :], n_draws=rc.draws,
+                                  burn_in=rc.burnin, rng=RngStream(rc.seed, UNIT_CHAINS_STREAM),
+                                  thin=rc.thin)
     else:
         _progress(f"estimating {rc.model}/{rc.variant} for forecasting")
         chain = _estimate_chain(rc, data)
-        pred = predict(chain, data, rc.horizons, rc.scenario, rng)
+    pred = predict(chain, data, rc.horizons, rc.scenario, rng)
     write_fan_chart(pred, out / "fan_chart.csv")
     return {"fan_chart": str(out / "fan_chart.csv"), "scenario": rc.scenario,
             "horizons": list(rc.horizons)}

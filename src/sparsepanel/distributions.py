@@ -149,7 +149,10 @@ def _cholesky(cov: np.ndarray, bump: float):
 
 
 def _inv(m: np.ndarray) -> np.ndarray:
-    """Matrix inverse; the closed form for a nonsingular k <= 2, LAPACK otherwise."""
+    """Matrix inverse; the closed form for a nonsingular k <= 2, LAPACK otherwise
+    and for a batch (B, k, k), which takes one LAPACK call."""
+    if m.ndim == 3:
+        return np.linalg.inv(m)
     k = m.shape[0]
     if k == 1 and m[0, 0] != 0:
         return 1.0 / m
@@ -174,10 +177,17 @@ def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
 
 
 def sample_mv_normal(mean, cov, rng, size=None):
-    """Multivariate normal draw; degenerate (all-zero) covariance returns the mean."""
+    """Multivariate normal draw; degenerate (all-zero) covariance returns the mean.
+
+    With a leading batch axis, mean (B, k) and cov (B, k, k), it returns one
+    draw per element, (B, k), consuming the generator as a loop of single
+    draws over the elements would; `size` applies to single draws only.
+    """
     gen = as_generator(rng)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if cov.ndim == 3 and size is None:
+        return _sample_mv_normal_batch(mean, cov, gen)
     if cov.shape != (mean.size, mean.size):
         raise MatrixDomainError(f"cov shape {cov.shape} does not match mean length {mean.size}")
     if not np.count_nonzero(cov):
@@ -188,6 +198,22 @@ def sample_mv_normal(mean, cov, rng, size=None):
     shape = (mean.size,) if size is None else (size, mean.size)
     z = gen.standard_normal(shape)
     return mean + z @ chol.T
+
+
+def _sample_mv_normal_batch(mean, cov, gen):
+    if cov.shape != mean.shape + mean.shape[-1:]:
+        raise MatrixDomainError(f"cov shape {cov.shape} does not match mean shape {mean.shape}")
+    # One LAPACK factorisation for the batch. An element that is not exactly
+    # symmetric and positive definite (all-zero, or in need of jitter) sends
+    # the batch through single draws, element by element.
+    try:
+        chol = np.linalg.cholesky(cov) if (cov == cov.swapaxes(1, 2)).all() else None
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None:
+        draws = [sample_mv_normal(m, c, gen) for m, c in zip(mean, cov)]
+        return np.array(draws).reshape(mean.shape)
+    return mean + (chol @ gen.standard_normal(mean.shape)[:, :, None])[:, :, 0]
 
 
 def sample_inverse_wishart(dof: float, scale: np.ndarray, rng, size=None):

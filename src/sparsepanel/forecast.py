@@ -96,58 +96,88 @@ def _terminal_regressors(data: PanelData, horizons: Sequence[int]) -> np.ndarray
 
     Experience is deterministic and grows by one per period, so the
     out-of-sample regressor at horizon h is the last in-sample experience
-    level plus h.
+    level plus h. A panel whose observed regressors do not have this form
+    raises ValueError: its forecasts would be silently wrong.
     """
     if data.x is None:
         raise ValueError("forecasting requires panel regressors")
-    h_last = data.x[:, -1, 1] * 10.0
-    n = data.y.shape[0]
-    out = np.empty((n, len(horizons), 2))
-    for j, h in enumerate(horizons):
-        out[:, j, 0] = 1.0
-        out[:, j, 1] = (h_last + h) / 10.0
+    if data.x.shape[2] != 2:
+        raise ValueError(f"forecast regressors must be [1, experience/10], got "
+                         f"{data.x.shape[2]} columns")
+    obs = data.mask
+    if not np.all(data.x[:, :, 0][obs] == 1.0):
+        raise ValueError("forecast regressors must be [1, experience/10]: the observed first "
+                         "regressor is not 1")
+    # experience/10 less period/10 is one number per unit on this design
+    offset = data.x[:, :, 1] - 0.1 * data.times
+    lo = np.where(obs, offset, np.inf).min(axis=1)
+    hi = np.where(obs, offset, -np.inf).max(axis=1)
+    if not np.all(np.isfinite(lo) & (hi - lo <= 1e-9)):
+        raise ValueError("forecast regressors must be [1, experience/10]: the observed second "
+                         "regressor of some unit is missing or does not rise by 0.1 per period")
+    out = np.ones((obs.shape[0], len(horizons), 2))
+    out[:, :, 1] = lo[:, None] + 0.1 * (data.times[-1] + np.asarray(horizons))
     return out
 
 
 def _simulate_forward(s0, rho_i, x_path, coef_i, u_sd, eps_sd, horizons, gen):
     """Iterate states and outcomes forward, returning y at each horizon.
 
-    All arguments are broadcast over units; `s0`, `rho_i`, `u_sd`, `eps_sd`
-    have shape (n,), `coef_i` (n, k), `x_path` (n, len(horizons), k).
+    `s0`, `rho_i`, `u_sd` and `eps_sd` have one shape, say (draws, units);
+    `coef_i` adds the regressor axis, and `x_path` (units, len(horizons), k)
+    broadcasts against it. The result adds the horizon axis last.
     """
-    n = s0.shape[0]
     n_h = len(horizons)
-    y = np.empty((n, n_h))
+    y = np.empty(s0.shape + (n_h,))
     s = s0.copy()
     col = 0
     for step in range(1, max(horizons) + 1):
-        s = rho_i * s + eps_sd * gen.standard_normal(n)
+        s = rho_i * s + eps_sd * gen.standard_normal(s.shape)
         if col < n_h and step == horizons[col]:
             x_t = x_path[:, col, :]
-            y[:, col] = np.sum(x_t * coef_i, axis=1) + s + u_sd * gen.standard_normal(n)
+            y[..., col] = np.sum(x_t * coef_i, axis=-1) + s + u_sd * gen.standard_normal(s.shape)
             col += 1
         # horizons are sorted, so interior steps only advance the state
     return y
 
 
-def _chain_unit_arrays(chain: ChainOutput, n: int, k: int):
-    required = ["s_last", "delta_rho", "delta_sigma_u", "delta_sigma_eps"]
-    required += [f"delta_alpha_{j}" for j in range(k)]
-    missing = [name for name in required if name not in chain.unit]
+def _forecast_parameters(chain: ChainOutput, scenario: str):
+    """Coefficients, AR coefficient, measurement and state variances, and
+    terminal state of each unit, per draw: (draws or 1, units[, k]) arrays."""
+    if scenario == "individual_info":
+        if "s_last" not in chain.common:
+            raise ValueError("individual_info needs the chain of run_m2_individual")
+        return tuple(chain.common[name]
+                     for name in ("coef", "rho_i", "sigma2_u", "sigma2_eps", "s_last"))
+    k = chain.common["alpha"].shape[1]
+    names = ["s_last", "delta_rho", "delta_sigma_u", "delta_sigma_eps"]
+    names += [f"delta_alpha_{j}" for j in range(k)]
+    missing = [name for name in names if name not in chain.unit]
     if missing:
         raise ValueError(f"chain lacks stored unit draws needed for forecasting: {missing}")
-    delta_alpha = np.stack([chain.unit[f"delta_alpha_{j}"] for j in range(k)], axis=-1)
-    return (chain.unit["s_last"], chain.unit["delta_rho"], chain.unit["delta_sigma_u"],
-            chain.unit["delta_sigma_eps"], delta_alpha)
+    # period-T variances are carried forward beyond the sample
+    common = [chain.common["alpha"], chain.common["rho"], chain.common["sigma2_u"][:, -1],
+              chain.common["sigma2_eps"][:, -1]]
+    unit = [chain.unit[name] for name in names]
+    if scenario == "full_info_no_param_unc":  # every draw uses the posterior means
+        common = [a.mean(axis=0, keepdims=True) for a in common]
+        unit = [chain.unit_means[name][None] for name in names]
+    alpha, rho, sig2_u, sig2_eps = common
+    s_last, delta_rho, delta_su, delta_se = unit[:4]
+    return (alpha[:, None, :] + np.stack(unit[4:], axis=-1), rho[:, None] + delta_rho,
+            sig2_u[:, None] * delta_su, sig2_eps[:, None] * delta_se, s_last)
 
 
-def predict(chain, data: PanelData, horizons: Sequence[int], scenario: str, rng
+def predict(chain: ChainOutput, data: PanelData, horizons: Sequence[int], scenario: str, rng
             ) -> PredictiveDraws:
     """Posterior-predictive simulation for the latent-state panel model.
 
-    `chain` is the full-panel ChainOutput for the two full-information
-    scenarios, or a sequence of single-unit ChainOutputs (one per unit, in
-    panel order) for the individual-information scenario.
+    `chain` is the full-panel ChainOutput of `run_m2` for the two
+    full-information scenarios, or the ChainOutput of `run_m2_individual`
+    on the panel's units for the individual-information scenario. Each
+    retained draw gives every unit one simulated path, all (draws x units)
+    paths in one pass; `full_info_no_param_unc` uses the posterior means
+    for every draw.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
@@ -155,82 +185,21 @@ def predict(chain, data: PanelData, horizons: Sequence[int], scenario: str, rng
     if not horizons or horizons[0] < 1:
         raise ValueError("horizons must be positive integers")
     gen = as_generator(rng)
-    if scenario == "individual_info":
-        return _predict_individual(chain, data, horizons, gen)
-
-    k = chain.common["alpha"].shape[1]
-    n = data.y.shape[0]
     x_path = _terminal_regressors(data, horizons)
-    s_last, delta_rho, delta_su, delta_se, delta_alpha = _chain_unit_arrays(chain, n, k)
-    n_draws = chain.n_draws
-    # period-T variances are carried forward beyond the sample
-    sig2_u_t = chain.common["sigma2_u"][:, -1]
-    sig2_e_t = chain.common["sigma2_eps"][:, -1]
-    if scenario == "full_info_no_param_unc":
-        coef = chain.common["alpha"].mean(axis=0)[None, :] + np.stack(
-            [chain.unit_means[f"delta_alpha_{j}"] for j in range(k)], axis=-1)
-        rho_i = chain.common["rho"].mean() + chain.unit_means["delta_rho"]
-        u_var = sig2_u_t.mean() * chain.unit_means["delta_sigma_u"]
-        e_var = sig2_e_t.mean() * chain.unit_means["delta_sigma_eps"]
-        s0 = chain.unit_means["s_last"]
-        draws = np.empty((n_draws, n, len(horizons)))
-        for d in range(n_draws):
-            draws[d] = _simulate_forward(s0, rho_i, x_path, coef, np.sqrt(u_var),
-                                         np.sqrt(e_var), horizons, gen)
-        h1_means = np.tile(np.sum(x_path[:, 0, :] * coef, axis=1) + rho_i * s0, (n_draws, 1)) \
-            if horizons[0] == 1 else np.full((n_draws, n), np.nan)
-        h1_vars = np.tile(e_var + u_var, (n_draws, 1)) if horizons[0] == 1 \
-            else np.full((n_draws, n), np.nan)
-        return PredictiveDraws(draws, h1_means, h1_vars, scenario, horizons, data.unit_ids)
-
-    draws = np.empty((n_draws, n, len(horizons)))
-    h1_means = np.full((n_draws, n), np.nan)
-    h1_vars = np.full((n_draws, n), np.nan)
-    for d in range(n_draws):
-        coef = chain.common["alpha"][d][None, :] + delta_alpha[d]
-        rho_i = chain.common["rho"][d] + delta_rho[d]
-        u_var = sig2_u_t[d] * delta_su[d]
-        e_var = sig2_e_t[d] * delta_se[d]
-        draws[d] = _simulate_forward(s_last[d], rho_i, x_path, coef, np.sqrt(u_var),
-                                     np.sqrt(e_var), horizons, gen)
-        if horizons[0] == 1:
-            h1_means[d] = np.sum(x_path[:, 0, :] * coef, axis=1) + rho_i * s_last[d]
-            h1_vars[d] = e_var + u_var
+    shape = (chain.n_draws, data.y.shape[0])
+    coef, rho_i, u_var, e_var, s0 = _forecast_parameters(chain, scenario)
+    if s0.shape[1] != shape[1]:
+        raise ValueError(f"the chain covers {s0.shape[1]} units, the panel {shape[1]}")
+    coef = np.broadcast_to(coef, shape + coef.shape[2:])
+    rho_i, u_var, e_var, s0 = (np.broadcast_to(a, shape) for a in (rho_i, u_var, e_var, s0))
+    draws = _simulate_forward(s0, rho_i, x_path, coef, np.sqrt(u_var), np.sqrt(e_var),
+                              horizons, gen)
+    if horizons[0] == 1:
+        h1_means = np.sum(x_path[:, 0, :] * coef, axis=-1) + rho_i * s0
+        h1_vars = e_var + u_var
+    else:
+        h1_means, h1_vars = np.full(shape, np.nan), np.full(shape, np.nan)
     return PredictiveDraws(draws, h1_means, h1_vars, scenario, horizons, data.unit_ids)
-
-
-def _predict_individual(chains, data: PanelData, horizons, gen) -> PredictiveDraws:
-    try:
-        chains = list(chains)
-    except TypeError:
-        raise ValueError("individual_info needs one single-unit chain per unit")
-    n = data.y.shape[0]
-    if len(chains) != n:
-        raise ValueError(f"expected {n} single-unit chains, got {len(chains)}")
-    x_path = _terminal_regressors(data, horizons)
-    n_draws = min(c.n_draws for c in chains)
-    draws = np.empty((n_draws, n, len(horizons)))
-    h1_means = np.full((n_draws, n), np.nan)
-    h1_vars = np.full((n_draws, n), np.nan)
-    for i, unit_chain in enumerate(chains):
-        if "s_last" not in unit_chain.common:
-            raise ValueError(f"unit chain {i} lacks terminal state draws")
-        coef = unit_chain.common["coef"][:n_draws]
-        rho_i = unit_chain.common["rho_i"][:n_draws]
-        s0 = unit_chain.common["s_last"][:n_draws]
-        u_var = unit_chain.common["sigma2_u"][:n_draws]
-        e_var = unit_chain.common["sigma2_eps"][:n_draws]
-        x_i = x_path[i : i + 1]
-        for d in range(n_draws):
-            draws[d, i] = _simulate_forward(
-                s0[d : d + 1], rho_i[d : d + 1], x_i, coef[d : d + 1],
-                np.sqrt(u_var[d : d + 1]), np.sqrt(e_var[d : d + 1]), horizons, gen,
-            )[0]
-        if horizons[0] == 1:
-            h1_means[:, i] = coef @ x_path[i, 0, :] + rho_i * s0
-            h1_vars[:, i] = e_var + u_var
-    return PredictiveDraws(draws, h1_means, h1_vars, "individual_info", tuple(horizons),
-                           data.unit_ids)
 
 
 def score(pred: PredictiveDraws, realized: np.ndarray) -> ScoreReport:

@@ -41,26 +41,6 @@ from sparsepanel.rng import as_generator
 VARIANTS = ("baseline", "homosk", "rip", "hip")
 
 
-def _state_precision_1t(phi: float, eps_vars: np.ndarray, v_s0: float):
-    """Tridiagonal precision and log-determinant of the prior covariance of
-    (s_1, ..., s_T) with s_0 integrated out.
-
-    Marginally s_1 has variance phi^2 v_s0 + eps_vars[0] and the rest of the
-    chain is Markov, so the precision stays tridiagonal.
-    """
-    t_len = eps_vars.size
-    w = eps_vars.copy()
-    w[0] = phi**2 * v_s0 + eps_vars[0]
-    prec = np.zeros((t_len, t_len))
-    for t in range(t_len):
-        prec[t, t] = 1.0 / w[t]
-        if t + 1 < t_len:
-            prec[t, t] += phi**2 / w[t + 1]
-            prec[t, t + 1] = prec[t + 1, t] = -phi / w[t + 1]
-    log_det_cov = float(np.sum(np.log(w)))
-    return prec, log_det_cov
-
-
 @dataclass
 class M2Config:
     variant: str = "baseline"
@@ -152,7 +132,6 @@ def draw_states_and_alpha_deviation(y, x, mask, common, units, hetero, u, e, e0)
     normal noise the draw consumes; `e[:, :T]` drives the states.
     """
     n, t_len, k = x.shape
-    q = {None: common.q["alpha"], False: 0.0, True: 1.0}[hetero]
     v_alpha = np.atleast_2d(common.v_delta_alpha)
     phi = common.rho + units.delta_rho
     w = common.sigma2_eps[None, :] * units.delta_sigma_eps[:, None]
@@ -166,34 +145,44 @@ def draw_states_and_alpha_deviation(y, x, mask, common, units, hetero, u, e, e0)
 
     # Forward pass, with rows indexed by period: P0 = L diag(piv) L' with L
     # unit lower bidiagonal (multipliers lo), so L0 = L diag(piv)^1/2, and
-    # fw = L0^-1 [b0, DX] for both right-hand sides.
-    piv, lo, sub = diag.T.copy(), np.zeros((t_len, n)), sub.T
+    # fw = L0^-1 [b0, DX] for both right-hand sides. The loops run over lists
+    # of row views, which index faster than the arrays they update in place.
+    piv, lo = diag.T.copy(), np.zeros((t_len, n, 1))
     fw = np.concatenate([(d * y_check).T[:, :, None], xd.transpose(1, 0, 2)], axis=2)
     fw[0, :, 0] += phi * common.mu_s0 / w[:, 0]
+    piv_t, lo_t, fw_t, sub_t = list(piv), list(lo[:, :, 0]), list(fw), list(sub.T)
     for t in range(1, t_len):
-        lo[t] = sub[t - 1] / piv[t - 1]
-        piv[t] -= lo[t] * sub[t - 1]
-        fw[t] -= lo[t][:, None] * fw[t - 1]
+        np.divide(sub_t[t - 1], piv_t[t - 1], out=lo_t[t])
+        piv_t[t] -= lo_t[t] * sub_t[t - 1]
+    lo_t = list(lo)
+    for t in range(1, t_len):
+        fw_t[t] -= lo_t[t] * fw_t[t - 1]
     root_piv = np.sqrt(piv)
-    fw = np.moveaxis(fw / root_piv[:, :, None], 0, 1)
+    fw = (fw / root_piv[:, :, None]).transpose(1, 0, 2)
     logdet_p0 = np.log(piv).sum(axis=0)
 
     # Schur complement for delta_alpha; its forward solve gives quad1 - quad0.
-    gram = np.swapaxes(fw, 1, 2) @ fw  # [[b0'P0^-1 b0, w0'C], [C'w0, C'C]]
-    xdt = np.swapaxes(xd, 1, 2)
+    gram = fw.transpose(0, 2, 1) @ fw  # [[b0'P0^-1 b0, w0'C], [C'w0, C'C]]
+    xdt = xd.transpose(0, 2, 1)
     ls = np.linalg.cholesky(np.linalg.inv(v_alpha) + xdt @ x - gram[:, 1:, 1:])
     wa = np.linalg.solve(ls, xdt @ y_check[:, :, None] - gram[:, 1:, :1])
-    logdet_s = 2.0 * np.log(np.diagonal(ls, axis1=1, axis2=2)).sum(axis=1)
-    log_k = (_log_odds_prior(q) - 0.5 * (np.linalg.slogdet(v_alpha)[1] + logdet_s)
-             + 0.5 * np.sum(wa[:, :, 0] ** 2, axis=1))
-    z = (u < special.expit(log_k)).astype(np.int64)
-    alpha_dev = np.linalg.solve(np.swapaxes(ls, 1, 2), wa + e[:, t_len:, None])
+    logdet_s = 2.0 * np.log(ls.diagonal(0, 1, 2)).sum(axis=1)
+    if hetero is None:
+        log_k = (_log_odds_prior(common.q["alpha"])
+                 - 0.5 * (np.linalg.slogdet(v_alpha)[1] + logdet_s)
+                 + 0.5 * (wa[:, :, 0] ** 2).sum(axis=1))
+        z = (u < special.expit(log_k)).astype(np.int64)
+    else:  # a forced indicator: infinite odds, and `u` goes unused
+        log_k = np.full(n, np.inf if hetero else -np.inf)
+        z = np.full(n, int(hetero))
+    alpha_dev = np.linalg.solve(ls.transpose(0, 2, 1), wa + e[:, t_len:, None])
     alpha_dev = np.where(z[:, None, None] == 1, alpha_dev, 0.0)
 
     # Back pass: states given delta_alpha, then s_0 given s_1.
     states = (fw[:, :, 0] + e[:, :t_len] - (fw[:, :, 1:] @ alpha_dev)[:, :, 0]).T / root_piv
+    states_t, lo_t = list(states), list(lo[:, :, 0])
     for t in range(t_len - 1, 0, -1):
-        states[t - 1] -= lo[t] * states[t]
+        states_t[t - 1] -= lo_t[t] * states_t[t]
     s = np.empty((n, t_len + 1))
     s[:, 1:] = states.T
     gain = phi * common.v_s0 / w[:, 0]
@@ -456,90 +445,107 @@ class IndividualPriors:
     s0_var: float = 0.05
 
 
-def run_m2_individual(y_unit, x_unit, n_draws: int, burn_in: int, rng,
+def _individual_state_draw(y, x, mask, priors: IndividualPriors, r, sig_u, sig_eps,
+                           e, e0) -> StateDraw:
+    """Coefficients and states of every unit's single-unit model, then s_0.
+
+    The single-unit model is the M2 state block with every unit on the slab
+    (slab covariance `coef_var`), no common coefficient or persistence, unit
+    period variances scaled by each unit's own r, sigma2_u and sigma2_eps,
+    and s_0 ~ N(0, s0_var). `e` (N, T+k) and `e0` (N,) are the noise.
+    """
+    n, t_len, k = x.shape
+    common = CommonState(
+        alpha=np.zeros(k), rho=0.0, q={"alpha": 1.0},
+        v_delta_alpha=np.atleast_2d(np.asarray(priors.coef_var, dtype=float))[:k, :k],
+        v_delta_rho=None, sigma2_u=np.ones(t_len), sigma2_eps=np.ones(t_len),
+        mu_s0=0.0, v_s0=priors.s0_var,
+    )
+    units = UnitState(z={}, delta_alpha=None, delta_rho=r, delta_sigma_u=sig_u,
+                      delta_sigma_eps=sig_eps)
+    # the slab is forced on, so the indicator needs no uniform draw
+    return draw_states_and_alpha_deviation(y, x, mask, common, units, True, np.zeros(n), e, e0)
+
+
+def _individual_param_draw(y, x, mask, priors: IndividualPriors, coef, s, sig_eps, gen):
+    """r, then sigma2_u and sigma2_eps, of every unit given its coefficients and states.
+
+    r_i comes from the state regression under its N(rho_mean, rho_var) prior,
+    all units in one batched call; each variance is IG((nu + count)/2,
+    (tau + ssr)/2), drawn as the reciprocal of a Gamma draw.
+    """
+    s_lag, s_now = s[:, :-1], s[:, 1:]
+    draw, _, _ = update_common_regression(
+        np.array([priors.rho_mean]), np.array([[priors.rho_var]]),
+        (np.einsum("it,it->i", s_lag, s_lag) / sig_eps)[:, None, None],
+        (np.einsum("it,it->i", s_lag, s_now) / sig_eps)[:, None], gen,
+    )
+    r = draw[:, 0]
+    resid = np.where(mask, y - np.einsum("itk,ik->it", x, coef) - s_now, 0.0)
+    sig_u = 1.0 / gen.gamma((priors.noise_u.nu + mask.sum(axis=1)) / 2.0,
+                            2.0 / (priors.noise_u.tau + np.einsum("it,it->i", resid, resid)))
+    resid = s_now - r[:, None] * s_lag
+    sig_eps = 1.0 / gen.gamma((priors.noise_eps.nu + s_now.shape[1]) / 2.0,
+                              2.0 / (priors.noise_eps.tau + np.einsum("it,it->i", resid, resid)))
+    return r, sig_u, sig_eps
+
+
+def run_m2_individual(y, x, n_draws: int, burn_in: int, rng,
                       priors: Optional[IndividualPriors] = None,
                       thin: int = 1) -> ChainOutput:
-    """Single-unit state-space sampler ignoring the rest of the panel.
+    """Every unit's single-unit state-space sampler, run together as one chain.
 
-    y_t = x_t' a + s_t + sigma_u u_t,  s_t = r s_{t-1} + sigma_eps eps_t,
-    with constant variances and proper Normal/IG priors on everything.
+    Unit i is estimated on its own history alone:
+    y_it = x_it' a_i + s_it + sigma_u,i u_it,  s_it = r_i s_i,t-1 + sigma_eps,i eps_it,
+    with constant variances and proper Normal/IG priors on everything. No
+    block couples units, so unit i's draws are those of its own chain. `y`
+    is (N, T) and `x` (N, T, k); a cell where either is missing carries no
+    measurement. The draws in `common` have shape (kept, N) or, for "coef",
+    (kept, N, k).
     """
     gen = as_generator(rng)
     priors = priors or IndividualPriors()
-    y_unit = np.asarray(y_unit, dtype=float)
-    x_unit = np.atleast_2d(np.asarray(x_unit, dtype=float))
-    t_len, k = x_unit.shape
-    if y_unit.size != t_len:
-        raise ValueError("y and x disagree on the number of periods")
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.ndim != 2 or x.ndim != 3 or x.shape[:2] != y.shape:
+        raise ValueError(f"need y of shape (N, T) and x of shape (N, T, k), got {y.shape} "
+                         f"and {x.shape}")
+    n, t_len, k = x.shape
     if t_len < 3:
         raise ValueError("individual estimation needs at least 3 periods")
     if not 0 <= burn_in < n_draws:
         raise ConfigurationError("burn_in must satisfy 0 <= burn_in < n_draws")
-    coef_var = np.atleast_2d(np.asarray(priors.coef_var, dtype=float))[:k, :k]
-    coef_prec = np.linalg.inv(coef_var)
+    mask = np.isfinite(y) & np.isfinite(x).all(axis=2)
+    y = np.where(mask, y, 0.0)
+    x = np.where(mask[:, :, None], x, 0.0)
 
-    a = np.zeros(k)
-    r = priors.rho_mean
-    sig_u = priors.noise_u.mean
-    sig_eps = priors.noise_eps.mean
-    s = np.zeros(t_len + 1)
-
+    r = np.full(n, priors.rho_mean)
+    sig_u = np.full(n, priors.noise_u.mean)
+    sig_eps = np.full(n, priors.noise_eps.mean)
     kept = (n_draws - burn_in + thin - 1) // thin
     out = {
-        "coef": np.empty((kept, k)),
-        "rho_i": np.empty(kept),
-        "sigma2_u": np.empty(kept),
-        "sigma2_eps": np.empty(kept),
-        "s_last": np.empty(kept),
+        "coef": np.empty((kept, n, k)),
+        "rho_i": np.empty((kept, n)),
+        "sigma2_u": np.empty((kept, n)),
+        "sigma2_eps": np.empty((kept, n)),
+        "s_last": np.empty((kept, n)),
     }
     idx = 0
     for j in range(n_draws):
-        # Joint (coefficients, states) draw given variances and r.
-        q_s, _ = _state_precision_1t(r, np.full(t_len, sig_eps), priors.s0_var)
-        p = np.zeros((k + t_len, k + t_len))
-        p[:k, :k] = coef_prec + x_unit.T @ x_unit / sig_u
-        p[:k, k:] = x_unit.T / sig_u
-        p[k:, :k] = x_unit / sig_u
-        p[k:, k:] = q_s + np.eye(t_len) / sig_u
-        b = np.concatenate([x_unit.T @ y_unit / sig_u, y_unit / sig_u])
-        chol = np.linalg.cholesky(p)
-        mean = np.linalg.solve(p, b)
-        draw = mean + np.linalg.solve(chol.T, gen.standard_normal(k + t_len))
-        a, s[1:] = draw[:k], draw[k:]
-        # s_0 given s_1 (zero prior mean).
-        v1 = r**2 * priors.s0_var + sig_eps
-        gain = r * priors.s0_var / v1
-        s[0] = gain * s[1] + np.sqrt(max(priors.s0_var - gain * r * priors.s0_var, 0.0)) * gen.standard_normal()
-        # r from the state regression.
-        draw_r, _, _ = update_common_regression(
-            np.array([priors.rho_mean]), np.array([[priors.rho_var]]),
-            np.array([[np.sum(s[:-1] ** 2) / sig_eps]]),
-            np.array([np.sum(s[:-1] * s[1:]) / sig_eps]), gen,
-        )
-        r = float(draw_r[0])
-        # Noise variances.
-        resid_u = y_unit - x_unit @ a - s[1:]
-        sig_u = float(sample_inverse_gamma(
-            InverseGammaSpec(priors.noise_u.nu + t_len, priors.noise_u.tau + float(resid_u @ resid_u)), gen
-        ))
-        resid_eps = s[1:] - r * s[:-1]
-        sig_eps = float(sample_inverse_gamma(
-            InverseGammaSpec(priors.noise_eps.nu + t_len, priors.noise_eps.tau + float(resid_eps @ resid_eps)), gen
-        ))
+        draw = _individual_state_draw(y, x, mask, priors, r, sig_u, sig_eps,
+                                      gen.standard_normal((n, t_len + k)), gen.standard_normal(n))
+        r, sig_u, sig_eps = _individual_param_draw(y, x, mask, priors, draw.delta_alpha, draw.s,
+                                                   sig_eps, gen)
         if j < burn_in or (j - burn_in) % thin:
             continue
-        out["coef"][idx] = a
+        out["coef"][idx] = draw.delta_alpha
         out["rho_i"][idx] = r
         out["sigma2_u"][idx] = sig_u
         out["sigma2_eps"][idx] = sig_eps
-        out["s_last"][idx] = s[-1]
+        out["s_last"][idx] = draw.s[:, -1]
         idx += 1
     assert idx == kept
     return ChainOutput(
         common=out,
-        unit={},
-        unit_means={},
-        diagnostics={},
         config={"model": "m2_individual", "n_draws": n_draws, "burn_in": burn_in, "thin": thin},
-        unit_ids=("unit",),
     )

@@ -2,15 +2,35 @@
 
 `dense_state_draw` is the per-unit dense form of the M2 state block: for each
 unit it builds the full (T+k) x (T+k) posterior precision, factors it, and
-draws from it. Variables are ordered states first, as in the banded sampler,
-so the same noise arrays give the same draw.
+draws from it. `dense_individual_draw` does the same for the single-unit
+model, built from its own priors. Variables are ordered states first, as in
+the banded sampler, so the same noise arrays give the same draw.
 """
 
 import numpy as np
 from scipy import special
 
 from sparsepanel.blocks import _log_odds_prior
-from sparsepanel.m2 import _state_precision_1t
+
+
+def state_precision_1t(phi: float, eps_vars: np.ndarray, v_s0: float):
+    """Tridiagonal precision and log-determinant of the prior covariance of
+    (s_1, ..., s_T) with s_0 integrated out.
+
+    Marginally s_1 has variance phi^2 v_s0 + eps_vars[0] and the rest of the
+    chain is Markov, so the precision stays tridiagonal.
+    """
+    t_len = eps_vars.size
+    w = eps_vars.copy()
+    w[0] = phi**2 * v_s0 + eps_vars[0]
+    prec = np.zeros((t_len, t_len))
+    for t in range(t_len):
+        prec[t, t] = 1.0 / w[t]
+        if t + 1 < t_len:
+            prec[t, t] += phi**2 / w[t + 1]
+            prec[t, t + 1] = prec[t + 1, t] = -phi / w[t + 1]
+    log_det_cov = float(np.sum(np.log(w)))
+    return prec, log_det_cov
 
 
 def build_state_prior_cov(phi: float, eps_vars, v_s0: float) -> np.ndarray:
@@ -53,7 +73,7 @@ def dense_state_draw(y, x, mask, common, units, hetero, u, e, e0) -> dict:
     for i in range(n):
         phi = common.rho + units.delta_rho[i]
         eps_vars = common.sigma2_eps * units.delta_sigma_eps[i]
-        q_s, _ = _state_precision_1t(phi, eps_vars, common.v_s0)
+        q_s, _ = state_precision_1t(phi, eps_vars, common.v_s0)
         m_states = common.mu_s0 * phi ** np.arange(1, t_len + 1)
         d = np.where(mask[i], 1.0 / (common.sigma2_u * units.delta_sigma_u[i]), 0.0)
         y_check = np.where(mask[i], y[i] - x[i] @ common.alpha, 0.0)
@@ -97,4 +117,42 @@ def dense_state_draw(y, x, mask, common, units, hetero, u, e, e0) -> dict:
         out["mean_delta_alpha"][i] = mean[t_len:]
         out["log_odds"][i], out["logdet_p0"][i], out["logdet_p1"][i] = log_k, logdet_p0, logdet_p1
         out["z"][i] = z_i
+    return out
+
+
+def dense_individual_draw(y, x, mask, priors, r, sig_u, sig_eps, e, e0) -> dict:
+    """Per-unit dense draw of (states, coefficients), then s_0, for the
+    single-unit model y_t = x_t' a + s_t + sigma_u u_t, s_t = r s_{t-1} +
+    sigma_eps eps_t, s_0 ~ N(0, s0_var), a ~ N(0, coef_var).
+
+    Unit i's posterior precision is [[Q_s + D, D X], [X'D, coef_var^-1 + X'DX]]
+    with Q_s the tridiagonal state prior precision and D = diag(mask / sig_u).
+    Returns arrays over units: "coef", "s" (s_0 first), and the posterior
+    means "mean_coef" and "mean_states".
+    """
+    n, t_len, k = x.shape
+    coef_prec = np.linalg.inv(np.atleast_2d(priors.coef_var)[:k, :k])
+    out = {"coef": np.empty((n, k)), "s": np.empty((n, t_len + 1)),
+           "mean_coef": np.empty((n, k)), "mean_states": np.empty((n, t_len))}
+    for i in range(n):
+        q_s, _ = state_precision_1t(r[i], np.full(t_len, sig_eps[i]), priors.s0_var)
+        d = np.where(mask[i], 1.0 / sig_u[i], 0.0)
+        y_i = np.where(mask[i], y[i], 0.0)
+        x_i = np.where(mask[i][:, None], x[i], 0.0)
+        p = np.zeros((t_len + k, t_len + k))
+        p[:t_len, :t_len] = q_s + np.diag(d)
+        p[:t_len, t_len:] = x_i * d[:, None]
+        p[t_len:, :t_len] = p[:t_len, t_len:].T
+        p[t_len:, t_len:] = coef_prec + x_i.T @ (x_i * d[:, None])
+        b = np.concatenate([d * y_i, x_i.T @ (d * y_i)])
+        mean = np.linalg.solve(p, b)
+        draw = mean + np.linalg.solve(np.linalg.cholesky(p).T, e[i])
+        v1 = r[i] ** 2 * priors.s0_var + sig_eps[i]
+        gain = r[i] * priors.s0_var / v1
+        var_s0 = priors.s0_var - gain * r[i] * priors.s0_var
+        out["s"][i, 0] = gain * draw[0] + np.sqrt(max(var_s0, 0.0)) * e0[i]
+        out["s"][i, 1:] = draw[:t_len]
+        out["coef"][i] = draw[t_len:]
+        out["mean_states"][i] = mean[:t_len]
+        out["mean_coef"][i] = mean[t_len:]
     return out

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from scipy.stats import norm
 
 from sparsepanel import cli
 from sparsepanel.cli import _default_m2_truth, main, validate_config
-from sparsepanel.panel import load_panel
-from sparsepanel.rng import as_generator
+from sparsepanel.panel import load_panel, write_panel
+from sparsepanel.rng import RngStream, as_generator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -231,11 +232,29 @@ def test_unit_chain_streams_do_not_collide_across_seeds(tmp_path, capsys, monkey
              "--burnin", "2", "--seed", str(seed), "--scenario", "individual_info",
              "--out", str(tmp_path / f"fc{seed}")], capsys)
         assert code == 0
-        per_seed[seed] = list(states)
-    assert len(per_seed[0]) == len(per_seed[1]) == 2
-    assert per_seed[0][0] != per_seed[0][1]
-    # unit 1 at seed 0 and unit 0 at seed 1 draw from different streams
-    assert per_seed[0][1] != per_seed[1][0]
+        # one sampler call for all units, drawing from RngStream(seed, 4)
+        assert states == [repr(RngStream(seed, 4).generator.bit_generator.state)]
+        per_seed[seed] = states[0]
+    assert per_seed[0] != per_seed[1]
+
+
+def test_forecast_rejects_regressors_it_cannot_extend(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli(["simulate", "--model", "m2", "--n", "3", "--t", "5", "--seed", "3",
+             "--out", str(sim)], capsys)
+    data = load_panel(sim / "panel.csv")
+    for column, value in ((0, 2.0), (1, 0.7)):
+        x = data.x.copy()
+        x[1, 2, column] = value
+        bad = tmp_path / f"bad{column}.csv"
+        write_panel(replace(data, x=x), bad)
+        for scenario in ("full_info_param_unc", "individual_info"):
+            code, out, err = run_cli(
+                ["forecast", "--model", "m2", "--data", str(bad), "--draws", "4", "--burnin",
+                 "2", "--scenario", scenario, "--out", str(tmp_path / "fc")], capsys)
+            assert code == 1 and out == ""
+            assert err.splitlines()[-1].startswith("error: forecast regressors must be "
+                                                    "[1, experience/10]")
 
 
 def strict_json(text):

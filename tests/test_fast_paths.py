@@ -127,3 +127,79 @@ def test_three_by_three_takes_the_lapack_path(monkeypatch):
     assert calls == [(3, 3)]
     monkeypatch.undo()
     np.testing.assert_array_equal(fast, lapack_mv_normal(np.zeros(3), cov, np.random.default_rng(2)))
+
+
+# A leading batch axis: one call must give what a loop of single calls gives
+# on the same generator, element by element, including each element's jitter
+# and its degenerate (all-zero) case.
+
+
+def jitter_attempt(cov):
+    """The first of the four Cholesky attempts (0: no jitter) that succeeds."""
+    jitter = 1e-10 * np.trace(cov) / cov.shape[0]
+    for attempt, bump in enumerate((0.0, jitter, 10 * jitter, 100 * jitter)):
+        try:
+            np.linalg.cholesky(cov + bump * np.eye(cov.shape[0]))
+            return attempt
+        except np.linalg.LinAlgError:
+            continue
+    return None
+
+
+def batch_covariances(k, gen):
+    """Random SPD covariances, an all-zero one, and for k >= 2 two that need
+    the first and the third jitter retry."""
+    covs = [random_spd(gen, k, 1e-3) for _ in range(6)] + [np.zeros((k, k))]
+    if k >= 2:
+        v = np.arange(1.0, k + 1.0)
+        jitter = 1e-10 * (v @ v) / k
+        for shift, attempt in ((0.5, 1), (50.0, 3)):
+            cov = np.outer(v, v) - shift * jitter * np.eye(k)
+            assert jitter_attempt(cov) == attempt
+            covs.append(cov)
+    return np.array(covs)
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_mv_normal_equals_a_loop_of_single_draws(k, special):
+    gen = np.random.default_rng(60 + k)
+    cov = batch_covariances(k, gen)
+    if not special:  # symmetric positive definite elements only: one LAPACK call
+        cov = np.array([0.5 * (c + c.T) for c in cov[:6]])
+    mean = gen.normal(size=(len(cov), k))
+    for seed in range(10):
+        batched = sample_mv_normal(mean, cov, np.random.default_rng(seed))
+        loop_gen = np.random.default_rng(seed)
+        looped = [sample_mv_normal(m, c, loop_gen) for m, c in zip(mean, cov)]
+        np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=1e-12)
+        assert batched.shape == (len(cov), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_regression_equals_a_loop_of_single_draws(k):
+    gen = np.random.default_rng(70 + k)
+    prior_cov, prior_mean = random_spd(gen, k, 0.2), gen.normal(size=k)
+    xtx = np.array([random_spd(gen, k, 0.0) * gen.uniform(0.0, 50.0) for _ in range(12)])
+    xty = gen.normal(scale=3.0, size=(12, k))
+    for seed in range(10):
+        batched = update_common_regression(prior_mean, prior_cov, xtx, xty,
+                                           np.random.default_rng(seed))
+        loop_gen = np.random.default_rng(seed)
+        looped = [update_common_regression(prior_mean, prior_cov, a, b, loop_gen)
+                  for a, b in zip(xtx, xty)]
+        for j, got in enumerate(batched):
+            np.testing.assert_allclose(got, [r[j] for r in looped], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_batch_with_one_bad_element_raises(k):
+    cov = batch_covariances(k, np.random.default_rng(80))
+    asymmetric, indefinite = cov.copy(), cov.copy()
+    asymmetric[2, 0, 1] += 0.1
+    indefinite[2] = np.diag([1.0] * (k - 1) + [-1e-3])
+    mean = np.zeros((len(cov), k))
+    with pytest.raises(MatrixDomainError, match="symmetric"):
+        sample_mv_normal(mean, asymmetric, np.random.default_rng(0))
+    with pytest.raises(MatrixDomainError, match="after jitter"):
+        sample_mv_normal(mean, indefinite, np.random.default_rng(0))

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from m2_oracle import build_state_prior_cov, dense_state_draw
+from m2_oracle import (
+    build_state_prior_cov,
+    dense_individual_draw,
+    dense_state_draw,
+    state_precision_1t,
+)
 from sparsepanel.blocks import CommonState, HyperParams, UnitState
 from sparsepanel.m2 import (
     ConfigurationError,
     IndividualPriors,
     M2Config,
-    _state_precision_1t,
+    _individual_param_draw,
+    _individual_state_draw,
     draw_states_and_alpha_deviation,
     run_m2,
     run_m2_individual,
@@ -80,7 +86,7 @@ def test_state_precision_inverts_prior_cov():
         eps_vars = rng.uniform(0.05, 0.5, size=5)
         v_s0 = rng.uniform(0.02, 0.3)
         cov = build_state_prior_cov(phi, eps_vars, v_s0)
-        prec, logdet = _state_precision_1t(phi, eps_vars, v_s0)
+        prec, logdet = state_precision_1t(phi, eps_vars, v_s0)
         np.testing.assert_allclose(np.linalg.inv(prec), cov[1:, 1:], rtol=1e-9, atol=1e-12)
         sign, ld = np.linalg.slogdet(cov[1:, 1:])
         assert sign > 0
@@ -201,15 +207,86 @@ def test_output_shapes_and_thinning():
 
 def test_individual_model_runs_and_rejects_short_history():
     data, _, _ = simulate_small(n=3, t=6)
-    y_unit = data.y[0, 1:]
-    x_unit = data.x[0, 1:, :]
-    chain = run_m2_individual(y_unit, x_unit, n_draws=80, burn_in=40, rng=np.random.default_rng(2))
-    assert chain.common["coef"].shape == (40, 2)
-    assert chain.common["rho_i"].shape == (40,)
+    y, x = data.y[:, 1:], data.x[:, 1:, :]
+    chain = run_m2_individual(y, x, n_draws=80, burn_in=40, rng=np.random.default_rng(2))
+    assert chain.n_draws == 40
+    assert chain.common["coef"].shape == (40, 3, 2)
+    for name in ("rho_i", "sigma2_u", "sigma2_eps", "s_last"):
+        assert chain.common[name].shape == (40, 3)
     assert np.all(chain.common["sigma2_u"] > 0)
     with pytest.raises(ValueError):
-        run_m2_individual(y_unit[:2], x_unit[:2], n_draws=10, burn_in=5,
+        run_m2_individual(y[:, :2], x[:, :2], n_draws=10, burn_in=5,
                           rng=np.random.default_rng(2))
+
+
+def test_individual_model_skips_missing_cells():
+    data, _, _ = simulate_small(n=3, t=6)
+    y, x = data.y[:, 1:].copy(), data.x[:, 1:, :].copy()
+    y[0, 2], x[1, 4, 1] = np.nan, np.nan
+    chain = run_m2_individual(y, x, n_draws=40, burn_in=20, rng=np.random.default_rng(3))
+    for draws in chain.common.values():
+        assert np.all(np.isfinite(draws))
+
+
+@pytest.mark.parametrize("missing", [False, True])
+@pytest.mark.parametrize("n,t,k", [(1, 3, 1), (1, 20, 2), (20, 3, 2), (20, 20, 1), (20, 20, 2),
+                                   (1, 3, 2), (20, 3, 1), (1, 20, 1)])
+def test_individual_state_draw_matches_dense_oracle(n, t, k, missing):
+    gen = np.random.default_rng(1000 * n + 10 * t + k)
+    x = np.concatenate([np.ones((n, t, 1)), gen.normal(size=(n, t, k - 1))], axis=2)
+    y = gen.normal(size=(n, t))
+    mask = gen.random((n, t)) > 0.25 if missing else np.ones((n, t), dtype=bool)
+    y, x = np.where(mask, y, 0.0), np.where(mask[:, :, None], x, 0.0)
+    priors = IndividualPriors()
+    r = gen.uniform(-0.9, 1.1, n)
+    sig_u, sig_eps = gen.uniform(0.05, 0.5, n), gen.uniform(0.05, 0.5, n)
+    zero = (np.zeros((n, t + k)), np.zeros(n))
+    for e, e0 in (zero, (gen.standard_normal((n, t + k)), gen.standard_normal(n))):
+        got = _individual_state_draw(y, x, mask, priors, r, sig_u, sig_eps, e, e0)
+        want = dense_individual_draw(y, x, mask, priors, r, sig_u, sig_eps, e, e0)
+        np.testing.assert_allclose(got.delta_alpha, want["coef"], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(got.s, want["s"], rtol=1e-10, atol=1e-10)
+        assert np.all(got.z == 1)
+        if e is zero[0]:  # with zero noise the draw is the posterior mean
+            np.testing.assert_allclose(got.delta_alpha, want["mean_coef"], rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(got.s[:, 1:], want["mean_states"], rtol=1e-10, atol=1e-10)
+
+
+def test_individual_parameter_draws_match_conjugate_posteriors():
+    # Three units, each repeated 20,000 times in one batch: every element is
+    # an independent draw from its unit's conditional posterior.
+    gen = np.random.default_rng(77)
+    units, reps, t, k = 3, 20_000, 8, 2
+    x = np.concatenate([np.ones((units, t, 1)), gen.normal(size=(units, t, 1))], axis=2)
+    y = gen.normal(size=(units, t))
+    mask = np.ones((units, t), dtype=bool)
+    mask[2, :3] = False
+    coef = gen.normal(size=(units, k))
+    s = 0.3 * np.cumsum(gen.normal(size=(units, t + 1)), axis=1)
+    sig_eps = np.array([0.05, 0.2, 0.5])
+    priors = IndividualPriors()
+    tile = lambda a: np.repeat(a, reps, axis=0)  # noqa: E731
+    r, sig_u, sig_eps_new = _individual_param_draw(
+        tile(y), tile(x), tile(mask), priors, tile(coef), tile(s), tile(sig_eps),
+        np.random.default_rng(78))
+    r, sig_u, sig_eps_new = (a.reshape(units, reps) for a in (r, sig_u, sig_eps_new))
+    # r: N(m, v) with v = 1 / (1/rho_var + sum s_lag^2 / sig_eps)
+    prec = 1.0 / priors.rho_var + np.sum(s[:, :-1] ** 2, axis=1) / sig_eps
+    m = (priors.rho_mean / priors.rho_var + np.sum(s[:, :-1] * s[:, 1:], axis=1) / sig_eps) / prec
+    z = (r - m[:, None]) * np.sqrt(prec)[:, None]
+    assert np.all(np.abs(z.mean(axis=1)) < 4.0 / np.sqrt(reps))
+    assert np.all(np.abs(z.var(axis=1) - 1.0) < 4.0 * np.sqrt(2.0 / reps))
+    # each variance: tau_post / (2 sigma2) ~ Gamma(nu_post / 2, 1)
+    resid_u = np.where(mask, y - np.sum(x * coef[:, None, :], axis=2) - s[:, 1:], 0.0)
+    tau_u = priors.noise_u.tau + np.sum(resid_u**2, axis=1)
+    shape_u = (priors.noise_u.nu + mask.sum(axis=1)) / 2.0
+    resid_eps = s[None, :, 1:] - r.T[:, :, None] * s[None, :, :-1]  # (reps, units, t)
+    tau_eps = priors.noise_eps.tau + np.sum(resid_eps**2, axis=2).T
+    shape_eps = np.full(units, (priors.noise_eps.nu + t) / 2.0)
+    for g, a in ((tau_u[:, None] / (2.0 * sig_u), shape_u),
+                 (tau_eps / (2.0 * sig_eps_new), shape_eps)):
+        assert np.all(np.abs(g.mean(axis=1) - a) < 4.0 * np.sqrt(a / reps))
+        assert np.all(np.abs(g.var(axis=1) - a) < 4.0 * np.sqrt((2.0 * a**2 + 6.0 * a) / reps))
 
 
 def test_individual_priors_defaults():
