@@ -7,9 +7,21 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
+
+
+class ConfigurationError(ValueError):
+    pass
+
+
+def check_chain_lengths(n_draws: int, burn_in: int, thin: int) -> None:
+    """Reject chain lengths that keep no draw or cannot be thinned."""
+    if not 0 <= burn_in < n_draws:
+        raise ConfigurationError("burn_in must satisfy 0 <= burn_in < n_draws")
+    if thin < 1:
+        raise ConfigurationError("thin must be >= 1")
 
 
 def hpd_interval(draws: np.ndarray, level: float = 0.90):
@@ -108,6 +120,65 @@ class ChainOutput:
         }
         (path / "manifest.json").write_text(
             json.dumps(manifest, indent=2, default=_json_default, allow_nan=False) + "\n")
+
+
+class DrawRecorder:
+    """Keeps the post-burn-in, thinned draws of a chain of `n_draws` sweeps.
+
+    Each recorded name gets an array of shape (kept,) + the shape of its
+    first value. Unit quantities also add to running means, which is all
+    that is kept of them when `store_unit_draws` is False.
+    """
+
+    def __init__(self, n_draws: int, burn_in: int = 0, thin: int = 1,
+                 store_unit_draws: bool = True):
+        check_chain_lengths(n_draws, burn_in, thin)
+        self.n_draws, self.burn_in, self.thin = n_draws, burn_in, thin
+        self.store_unit_draws = store_unit_draws
+        self.kept = (n_draws - burn_in + thin - 1) // thin
+        self.count = 0
+        self.common: Dict[str, np.ndarray] = {}
+        self.unit: Dict[str, np.ndarray] = {}
+        self._sums: Dict[str, np.ndarray] = {}
+
+    def keeps(self, j: int) -> bool:
+        """Whether the draw of sweep `j` (counting from 0) is kept."""
+        return j >= self.burn_in and (j - self.burn_in) % self.thin == 0
+
+    def record(self, common: Dict, unit: Optional[Dict] = None,
+               means_only: Optional[Dict] = None) -> None:
+        """Keep one draw: `common` and `unit` values as draws, and `unit` and
+        `means_only` values in the running unit means."""
+        for name, value in common.items():
+            self._keep(self.common, name, value)
+        unit = unit or {}
+        for name, value in {**unit, **(means_only or {})}.items():
+            if name not in self._sums:
+                self._sums[name] = np.zeros(np.shape(value))
+            self._sums[name] += value
+        if self.store_unit_draws:
+            for name, value in unit.items():
+                self._keep(self.unit, name, value)
+        self.count += 1
+
+    def _keep(self, table, name, value) -> None:
+        if name not in table:
+            table[name] = np.empty((self.kept,) + np.shape(value))
+        table[name][self.count] = value
+
+    def output(self, config: Dict, diagnostics: Optional[Dict] = None,
+               unit_ids: tuple = ()) -> ChainOutput:
+        """The kept draws; `config` gains the chain's length settings."""
+        assert self.count == self.kept
+        return ChainOutput(
+            common=self.common,
+            unit=self.unit,
+            unit_means={name: total / self.kept for name, total in self._sums.items()},
+            diagnostics=diagnostics or {},
+            config={**config, "n_draws": self.n_draws, "burn_in": self.burn_in,
+                    "thin": self.thin},
+            unit_ids=unit_ids,
+        )
 
 
 def _json_default(obj):

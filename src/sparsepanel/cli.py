@@ -313,9 +313,8 @@ def _cmd_forecast(rc: RunConfig) -> Dict:
     rng = RngStream(rc.seed, PREDICT_STREAM)
     if rc.scenario == "individual_info":
         _progress(f"estimating the single-unit models of {len(data.unit_ids)} units")
-        chain = run_m2_individual(data.y[:, 1:], data.x[:, 1:, :], n_draws=rc.draws,
-                                  burn_in=rc.burnin, rng=RngStream(rc.seed, UNIT_CHAINS_STREAM),
-                                  thin=rc.thin)
+        chain = run_m2_individual(data, n_draws=rc.draws, burn_in=rc.burnin,
+                                  rng=RngStream(rc.seed, UNIT_CHAINS_STREAM), thin=rc.thin)
     else:
         _progress(f"estimating {rc.model}/{rc.variant} for forecasting")
         chain = _estimate_chain(rc, data)

@@ -13,6 +13,7 @@ from typing import Dict
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams, RwmhAdaptState, UnitState
+from sparsepanel.chainout import DrawRecorder
 from sparsepanel.distributions import sample_inverse_gamma, sample_inverse_wishart, sample_mv_normal
 from sparsepanel.m1 import M1Config, m1_sweep
 from sparsepanel.m2 import M2Config, m2_sweep
@@ -101,30 +102,24 @@ def run_geweke_m1(variant: str, n: int, t: int, n_iter: int, rng,
     gen_mc = rng.substream(0).generator
     gen_sc = rng.substream(1).generator
 
-    marginal = {}
+    marginal = DrawRecorder(n_iter)
     for _ in range(n_iter):
         common = _draw_m1_common(hyper, hetsk, gen_mc)
         _, units = simulate_m1(common, hyper, n, t, gen_mc, heteroskedastic=hetsk)
-        for name, val in _m1_test_functions(common, units, hetsk).items():
-            marginal.setdefault(name, []).append(val)
+        marginal.record(_m1_test_functions(common, units, hetsk))
 
-    successive = {}
+    successive = DrawRecorder(n_iter * thin, thin=thin)
     common = _draw_m1_common(hyper, hetsk, gen_sc)
     _, units = simulate_m1(common, hyper, n, t, gen_sc, heteroskedastic=hetsk)
     adapt = RwmhAdaptState()
     y0 = np.zeros(n)
-    for j in range(n_iter * thin):
+    for j in range(successive.n_draws):
         y = simulate_m1_given(common, units, t, gen_sc)
         m1_sweep(y0, y[:, 1:], common, units, config, adapt, gen_sc, adapt_enabled=False)
-        if j % thin:
-            continue
-        for name, val in _m1_test_functions(common, units, hetsk).items():
-            successive.setdefault(name, []).append(val)
+        if successive.keeps(j):
+            successive.record(_m1_test_functions(common, units, hetsk))
 
-    return {
-        "marginal": {k: np.array(v) for k, v in marginal.items()},
-        "successive": {k: np.array(v) for k, v in successive.items()},
-    }
+    return {"marginal": marginal.common, "successive": successive.common}
 
 def _draw_m2_common(hyper: HyperParams, k: int, t: int, config, gen) -> CommonState:
     hetero = config.coef_heterogeneity
@@ -206,29 +201,23 @@ def run_geweke_m2(variant: str, n: int, t: int, k: int, n_iter: int, rng,
         x[:, :, 1] = np.arange(1, t + 1)[None, :] / 10.0
     mask = np.ones((n, t), dtype=bool)
 
-    marginal = {}
+    marginal = DrawRecorder(n_iter)
     for _ in range(n_iter):
         common = _draw_m2_common(hyper, k, t, config, gen_mc)
         units = draw_unit_deviations(common, n, gen_mc, blocks=M2_BLOCKS)
         units.s, _ = simulate_m2_given(common, units, x, gen_mc)
-        for name, val in _m2_test_functions(common, units, config).items():
-            marginal.setdefault(name, []).append(val)
+        marginal.record(_m2_test_functions(common, units, config))
 
-    successive = {}
+    successive = DrawRecorder(n_iter * thin, thin=thin)
     common = _draw_m2_common(hyper, k, t, config, gen_sc)
     units = draw_unit_deviations(common, n, gen_sc, blocks=M2_BLOCKS)
     adapts = {"sigma_u": RwmhAdaptState(), "sigma_eps": RwmhAdaptState()}
-    for j in range(n_iter * thin):
+    for j in range(successive.n_draws):
         # refresh the states with the data, so the chain visits the full
         # joint law of (parameters, states, outcomes)
         units.s, y = simulate_m2_given(common, units, x, gen_sc)
         m2_sweep(y, x, mask, common, units, config, adapts, gen_sc, adapt_enabled=False)
-        if j % thin:
-            continue
-        for name, val in _m2_test_functions(common, units, config).items():
-            successive.setdefault(name, []).append(val)
+        if successive.keeps(j):
+            successive.record(_m2_test_functions(common, units, config))
 
-    return {
-        "marginal": {k_: np.array(v) for k_, v in marginal.items()},
-        "successive": {k_: np.array(v) for k_, v in successive.items()},
-    }
+    return {"marginal": marginal.common, "successive": successive.common}

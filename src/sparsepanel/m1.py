@@ -28,16 +28,12 @@ from sparsepanel.blocks import (
     update_v_delta_normal,
     update_v_delta_sigma_rwmh,
 )
-from sparsepanel.chainout import ChainOutput
+from sparsepanel.chainout import ChainOutput, ConfigurationError, DrawRecorder, check_chain_lengths
 from sparsepanel.distributions import InverseGammaSpec, sample_inverse_gamma
 from sparsepanel.panel import PanelData
 from sparsepanel.rng import as_generator
 
 VARIANTS = ("ss_homosk", "ss_hetsk", "homogeneous", "full_hetero_homosk", "full_hetero_hetsk")
-
-
-class ConfigurationError(ValueError):
-    pass
 
 
 @dataclass
@@ -48,15 +44,11 @@ class M1Config:
     thin: int = 1
     hyper: HyperParams = field(default_factory=HyperParams.m1_defaults)
     store_unit_draws: bool = True
-    adapt_after_burnin: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if not 0 <= self.burn_in < self.n_draws:
-            raise ConfigurationError("burn_in must satisfy 0 <= burn_in < n_draws")
-        if self.thin < 1:
-            raise ConfigurationError("thin must be >= 1")
+        check_chain_lengths(self.n_draws, self.burn_in, self.thin)
         if self.heteroskedastic and self.hyper.v_delta_sigma is None:
             raise ConfigurationError(f"variant {self.variant!r} needs a v_delta_sigma prior")
         if self.hyper.sigma2 is None or self.hyper.v_delta_alpha is None:
@@ -219,7 +211,7 @@ def _extract_arrays(data: PanelData):
 
 def run_m1(data: PanelData, config: M1Config, rng,
            fixed_common: Optional[CommonState] = None) -> ChainOutput:
-    """Run the Gibbs sampler and collect post-burn-in, thinned draws.
+    """Run the Gibbs sampler and record its post-burn-in, thinned draws.
 
     `fixed_common` holds the shared parameters at the given values and updates
     only the per-unit blocks (known-truth reference posterior).
@@ -233,67 +225,32 @@ def run_m1(data: PanelData, config: M1Config, rng,
         common.q = dict(fixed_common.q)
         if common.v_delta_sigma is None:
             common.v_delta_sigma = 1.0
+    labels = ("alpha", "rho", "sigma") if config.heteroskedastic else ("alpha", "rho")
     adapt = RwmhAdaptState()
-    kept = (config.n_draws - config.burn_in + config.thin - 1) // config.thin
-    scalars = ["alpha", "rho", "sigma2", "q_alpha", "q_rho", "v_delta_alpha", "v_delta_rho"]
-    if config.heteroskedastic:
-        scalars += ["q_sigma", "v_delta_sigma"]
-    common_draws = {name: np.empty(kept) for name in scalars}
-    unit_names = ["delta_alpha", "delta_rho", "delta_sigma", "z_alpha", "z_rho", "z_sigma"]
-    unit_draws = {name: np.empty((kept, n)) for name in unit_names} if config.store_unit_draws else {}
-    unit_sums = {name: np.zeros(n) for name in ["alpha_i", "rho_i", "sigma2_i"] + unit_names}
-    kept_count = 0
+    recorder = DrawRecorder(config.n_draws, config.burn_in, config.thin, config.store_unit_draws)
     for j in range(config.n_draws):
-        in_burn = j < config.burn_in
         m1_sweep(
             y0, Y, common, units, config, adapt, gen,
-            fixed_common=fixed_common is not None,
-            adapt_enabled=in_burn or config.adapt_after_burnin,
+            fixed_common=fixed_common is not None, adapt_enabled=j < config.burn_in,
         )
-        if in_burn or (j - config.burn_in) % config.thin:
+        if not recorder.keeps(j):
             continue
-        idx = kept_count
-        kept_count += 1
-        common_draws["alpha"][idx] = common.alpha
-        common_draws["rho"][idx] = common.rho
-        common_draws["sigma2"][idx] = common.sigma2
-        common_draws["q_alpha"][idx] = common.q["alpha"]
-        common_draws["q_rho"][idx] = common.q["rho"]
-        common_draws["v_delta_alpha"][idx] = common.v_delta_alpha
-        common_draws["v_delta_rho"][idx] = common.v_delta_rho
-        if config.heteroskedastic:
-            common_draws["q_sigma"][idx] = common.q["sigma"]
-            common_draws["v_delta_sigma"][idx] = common.v_delta_sigma
-        values = {
-            "delta_alpha": units.delta_alpha,
-            "delta_rho": units.delta_rho,
-            "delta_sigma": units.delta_sigma,
-            "z_alpha": units.z["alpha"],
-            "z_rho": units.z["rho"],
-            "z_sigma": units.z["sigma"],
-            "alpha_i": common.alpha + units.delta_alpha,
-            "rho_i": common.rho + units.delta_rho,
-            "sigma2_i": common.sigma2 * units.delta_sigma,
-        }
-        for name in unit_sums:
-            unit_sums[name] += values[name]
-        for name in unit_draws:
-            unit_draws[name][idx] = values[name]
-    assert kept_count == kept
-    return ChainOutput(
-        common=common_draws,
-        unit=unit_draws,
-        unit_means={name: total / kept for name, total in unit_sums.items()},
+        draw = {"alpha": common.alpha, "rho": common.rho, "sigma2": common.sigma2}
+        for label in labels:
+            draw["q_" + label] = common.q[label]
+            draw["v_delta_" + label] = getattr(common, "v_delta_" + label)
+        unit = {}
+        for label in ("alpha", "rho", "sigma"):
+            unit["delta_" + label] = getattr(units, "delta_" + label)
+            unit["z_" + label] = units.z[label]
+        recorder.record(draw, unit, means_only={"alpha_i": common.alpha + units.delta_alpha,
+                                                "rho_i": common.rho + units.delta_rho,
+                                                "sigma2_i": common.sigma2 * units.delta_sigma})
+    return recorder.output(
+        {"model": "m1", "variant": config.variant},
         diagnostics={
             "rwmh_acceptance": adapt.acceptance_rate if config.heteroskedastic else float("nan"),
             "rwmh_step": adapt.step,
-        },
-        config={
-            "model": "m1",
-            "variant": config.variant,
-            "n_draws": config.n_draws,
-            "burn_in": config.burn_in,
-            "thin": config.thin,
         },
         unit_ids=data.unit_ids,
     )

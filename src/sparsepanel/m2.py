@@ -12,7 +12,7 @@ unit's coefficients deviate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
@@ -32,10 +32,9 @@ from sparsepanel.blocks import (
     update_v_delta_normal,
     update_v_delta_sigma_rwmh,
 )
-from sparsepanel.chainout import ChainOutput
+from sparsepanel.chainout import ChainOutput, ConfigurationError, DrawRecorder, check_chain_lengths
 from sparsepanel.distributions import InverseGammaSpec, sample_inverse_gamma
-from sparsepanel.m1 import ConfigurationError
-from sparsepanel.panel import PanelData
+from sparsepanel.panel import M2_BLOCKS, PanelData
 from sparsepanel.rng import as_generator
 
 VARIANTS = ("baseline", "homosk", "rip", "hip")
@@ -49,15 +48,11 @@ class M2Config:
     thin: int = 1
     hyper: HyperParams = field(default_factory=HyperParams.m2_defaults)
     store_unit_draws: bool = True
-    adapt_after_burnin: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if not 0 <= self.burn_in < self.n_draws:
-            raise ConfigurationError("burn_in must satisfy 0 <= burn_in < n_draws")
-        if self.thin < 1:
-            raise ConfigurationError("thin must be >= 1")
+        check_chain_lengths(self.n_draws, self.burn_in, self.thin)
         for name in ("sigma2_u", "sigma2_eps", "v_delta_alpha_iw", "v_s0"):
             if getattr(self.hyper, name) is None:
                 raise ConfigurationError(f"hyper must carry a {name} prior")
@@ -192,8 +187,7 @@ def draw_states_and_alpha_deviation(y, x, mask, common, units, hetero, u, e, e0)
 
 
 def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config,
-             adapts: Dict[str, RwmhAdaptState], gen, fixed_common: bool = False,
-             adapt_enabled: bool = True) -> None:
+             adapts: Dict[str, RwmhAdaptState], gen, adapt_enabled: bool = True) -> None:
     """One full Gibbs sweep, in place. `y`, `mask` are (N, T); `x` is (N, T, k).
 
     Unobserved cells contribute nothing to measurement blocks; state blocks
@@ -209,48 +203,47 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
     w_u = np.where(mask, 1.0 / (common.sigma2_u[None, :] * units.delta_sigma_u[:, None]), 0.0)
     w_eps = 1.0 / (common.sigma2_eps[None, :] * units.delta_sigma_eps[:, None])
 
-    if not fixed_common:
-        # Common regression coefficients from the measurement equation.
-        y_check = np.where(mask, y - np.einsum("itk,ik->it", x, units.delta_alpha) - s_now, 0.0)
-        xtx = np.einsum("itj,it,itk->jk", x, w_u, x)
-        xty = np.einsum("itj,it->j", x, w_u * y_check)
-        prior_cov = np.atleast_2d(np.asarray(hyper.v_alpha, dtype=float))
-        prior_mean = np.broadcast_to(np.asarray(hyper.mu_alpha, dtype=float), (k,))
-        draw, _, _ = update_common_regression(prior_mean, prior_cov, xtx, xty, gen)
-        common.alpha = np.atleast_1d(draw)
+    # Common regression coefficients from the measurement equation.
+    y_check = np.where(mask, y - np.einsum("itk,ik->it", x, units.delta_alpha) - s_now, 0.0)
+    xtx = np.einsum("itj,it,itk->jk", x, w_u, x)
+    xty = np.einsum("itj,it->j", x, w_u * y_check)
+    prior_cov = np.atleast_2d(np.asarray(hyper.v_alpha, dtype=float))
+    prior_mean = np.broadcast_to(np.asarray(hyper.mu_alpha, dtype=float), (k,))
+    draw, _, _ = update_common_regression(prior_mean, prior_cov, xtx, xty, gen)
+    common.alpha = np.atleast_1d(draw)
 
-        # Common autoregressive coefficient from the state equation.
-        s_tilde = s_now - units.delta_rho[:, None] * s_lag
-        prec = float(np.sum(w_eps * s_lag**2))
-        score = float(np.sum(w_eps * s_lag * s_tilde))
-        draw, _, _ = update_common_regression(
-            np.array([hyper.mu_rho]), np.array([[hyper.v_rho]]), np.array([[prec]]),
-            np.array([score]), gen,
-        )
-        common.rho = float(draw[0])
+    # Common autoregressive coefficient from the state equation.
+    s_tilde = s_now - units.delta_rho[:, None] * s_lag
+    prec = float(np.sum(w_eps * s_lag**2))
+    score = float(np.sum(w_eps * s_lag * s_tilde))
+    draw, _, _ = update_common_regression(
+        np.array([hyper.mu_rho]), np.array([[hyper.v_rho]]), np.array([[prec]]),
+        np.array([score]), gen,
+    )
+    common.rho = float(draw[0])
 
-        if hetero is None:
-            common.q["alpha"] = update_q(units.z["alpha"], hyper.a, hyper.b, gen)
-            common.q["rho"] = update_q(units.z["rho"], hyper.a, hyper.b, gen)
-        if hetsk:
-            common.q["sigma_u"] = update_q(units.z["sigma_u"], hyper.a, hyper.b, gen)
-            common.q["sigma_eps"] = update_q(units.z["sigma_eps"], hyper.a, hyper.b, gen)
+    if hetero is None:
+        common.q["alpha"] = update_q(units.z["alpha"], hyper.a, hyper.b, gen)
+        common.q["rho"] = update_q(units.z["rho"], hyper.a, hyper.b, gen)
+    if hetsk:
+        common.q["sigma_u"] = update_q(units.z["sigma_u"], hyper.a, hyper.b, gen)
+        common.q["sigma_eps"] = update_q(units.z["sigma_eps"], hyper.a, hyper.b, gen)
 
-        common.v_delta_alpha = update_v_delta_alpha_iw(
-            units.z["alpha"], units.delta_alpha, hyper.v_delta_alpha_iw, gen
-        )
-        common.v_delta_rho = update_v_delta_normal(
-            units.z["rho"], units.delta_rho, hyper.v_delta_rho, gen
-        )
-        if hetsk:
-            for label, attr in (("sigma_u", "delta_sigma_u"), ("sigma_eps", "delta_sigma_eps")):
-                active = getattr(units, attr)[units.z[label] == 1]
-                prior = hyper.v_delta_sigma_u if label == "sigma_u" else hyper.v_delta_sigma_eps
-                value, _ = update_v_delta_sigma_rwmh(
-                    getattr(common, "v_delta_" + label), active, prior, adapts[label], gen,
-                    adapt_enabled=adapt_enabled,
-                )
-                setattr(common, "v_delta_" + label, value)
+    common.v_delta_alpha = update_v_delta_alpha_iw(
+        units.z["alpha"], units.delta_alpha, hyper.v_delta_alpha_iw, gen
+    )
+    common.v_delta_rho = update_v_delta_normal(
+        units.z["rho"], units.delta_rho, hyper.v_delta_rho, gen
+    )
+    if hetsk:
+        for label, attr in (("sigma_u", "delta_sigma_u"), ("sigma_eps", "delta_sigma_eps")):
+            active = getattr(units, attr)[units.z[label] == 1]
+            prior = hyper.v_delta_sigma_u if label == "sigma_u" else hyper.v_delta_sigma_eps
+            value, _ = update_v_delta_sigma_rwmh(
+                getattr(common, "v_delta_" + label), active, prior, adapts[label], gen,
+                adapt_enabled=adapt_enabled,
+            )
+            setattr(common, "v_delta_" + label, value)
 
     # Autoregressive deviations from the state equation.
     if hetero is not False:
@@ -285,46 +278,48 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
     )
     units.z["alpha"][:], units.delta_alpha[:], units.s[:] = draw.z, draw.delta_alpha, draw.s
 
-    if not fixed_common:
-        # Initial-state hyperparameters.
-        s0 = units.s[:, 0]
-        v_bar = 1.0 / (1.0 / hyper.mu_s0_var + n / common.v_s0)
-        m_bar = v_bar * (hyper.mu_s0_mean / hyper.mu_s0_var + s0.sum() / common.v_s0)
-        common.mu_s0 = float(m_bar + np.sqrt(v_bar) * gen.standard_normal())
-        post = InverseGammaSpec(
-            nu=hyper.v_s0.nu + n, tau=hyper.v_s0.tau + float(np.sum((s0 - common.mu_s0) ** 2))
-        )
-        common.v_s0 = float(sample_inverse_gamma(post, gen))
+    # Initial-state hyperparameters.
+    s0 = units.s[:, 0]
+    v_bar = 1.0 / (1.0 / hyper.mu_s0_var + n / common.v_s0)
+    m_bar = v_bar * (hyper.mu_s0_mean / hyper.mu_s0_var + s0.sum() / common.v_s0)
+    common.mu_s0 = float(m_bar + np.sqrt(v_bar) * gen.standard_normal())
+    post = InverseGammaSpec(
+        nu=hyper.v_s0.nu + n, tau=hyper.v_s0.tau + float(np.sum((s0 - common.mu_s0) ** 2))
+    )
+    common.v_s0 = float(sample_inverse_gamma(post, gen))
 
-        # Period variances.
-        resid_u = np.where(
-            mask,
-            y - np.einsum("itk,ik->it", x, common.alpha[None, :] + units.delta_alpha)
-            - units.s[:, 1:],
-            0.0,
-        )
-        resid_eps = units.s[:, 1:] - (common.rho + units.delta_rho)[:, None] * units.s[:, :-1]
-        n_t = mask.sum(axis=0).astype(float)
-        ssr_u_t = (resid_u**2 / units.delta_sigma_u[:, None]).sum(axis=0)
-        ssr_eps_t = (resid_eps**2 / units.delta_sigma_eps[:, None]).sum(axis=0)
-        # IG((nu + count)/2, (tau + ssr)/2) for every period in one draw, as
-        # the reciprocal of a Gamma draw (see `sample_inverse_gamma`).
-        common.sigma2_u = 1.0 / gen.gamma((hyper.sigma2_u.nu + n_t) / 2.0,
-                                          2.0 / (hyper.sigma2_u.tau + ssr_u_t))
-        common.sigma2_eps = 1.0 / gen.gamma((hyper.sigma2_eps.nu + n) / 2.0,
-                                            2.0 / (hyper.sigma2_eps.tau + ssr_eps_t))
+    # Period variances.
+    resid_u = np.where(
+        mask,
+        y - np.einsum("itk,ik->it", x, common.alpha[None, :] + units.delta_alpha)
+        - units.s[:, 1:],
+        0.0,
+    )
+    resid_eps = units.s[:, 1:] - (common.rho + units.delta_rho)[:, None] * units.s[:, :-1]
+    n_t = mask.sum(axis=0).astype(float)
+    ssr_u_t = (resid_u**2 / units.delta_sigma_u[:, None]).sum(axis=0)
+    ssr_eps_t = (resid_eps**2 / units.delta_sigma_eps[:, None]).sum(axis=0)
+    # IG((nu + count)/2, (tau + ssr)/2) for every period in one draw, as
+    # the reciprocal of a Gamma draw (see `sample_inverse_gamma`).
+    common.sigma2_u = 1.0 / gen.gamma((hyper.sigma2_u.nu + n_t) / 2.0,
+                                      2.0 / (hyper.sigma2_u.tau + ssr_u_t))
+    common.sigma2_eps = 1.0 / gen.gamma((hyper.sigma2_eps.nu + n) / 2.0,
+                                        2.0 / (hyper.sigma2_eps.tau + ssr_eps_t))
 
 
 def _extract_m2_arrays(data: PanelData):
-    y, mask, x = data.y, data.mask, data.x
-    if x is None:
+    """(y, mask, x) from the first observed period on; a cell carries a
+    measurement only when y and every regressor are observed, and a cell
+    that carries none holds zeros."""
+    if data.x is None:
         raise ConfigurationError("the state-space model requires covariates")
+    mask = data.mask & np.isfinite(data.x).all(axis=2)
     # Drop leading columns with no observations (the simulator keeps a t=0
     # column for the initial state).
     first = 0
-    while first < y.shape[1] and not mask[:, first].any():
+    while first < mask.shape[1] and not mask[:, first].any():
         first += 1
-    y, mask, x = y[:, first:], mask[:, first:], x[:, first:, :]
+    y, mask, x = data.y[:, first:], mask[:, first:], data.x[:, first:, :]
     if y.shape[1] < 2:
         raise ConfigurationError("need at least 2 observed periods")
     if not mask.any(axis=1).all():
@@ -334,100 +329,39 @@ def _extract_m2_arrays(data: PanelData):
     return y, mask, x
 
 
-def run_m2(data: PanelData, config: M2Config, rng,
-           fixed_common: Optional[CommonState] = None) -> ChainOutput:
-    """Run the Gibbs sampler and collect post-burn-in, thinned draws."""
+def run_m2(data: PanelData, config: M2Config, rng) -> ChainOutput:
+    """Run the Gibbs sampler and record its post-burn-in, thinned draws."""
     gen = as_generator(rng)
     y, mask, x = _extract_m2_arrays(data)
     n, t_len, k = x.shape
     common, units = init_m2_state(n, t_len, k, config)
-    if fixed_common is not None:
-        common = replace(fixed_common)
-        common.q = dict(fixed_common.q)
-        common.alpha = np.atleast_1d(np.asarray(fixed_common.alpha, dtype=float)).copy()
-        common.sigma2_u = np.asarray(fixed_common.sigma2_u, dtype=float).copy()
-        common.sigma2_eps = np.asarray(fixed_common.sigma2_eps, dtype=float).copy()
     adapts = {"sigma_u": RwmhAdaptState(), "sigma_eps": RwmhAdaptState()}
-    kept = (config.n_draws - config.burn_in + config.thin - 1) // config.thin
-    common_draws = {
-        "alpha": np.empty((kept, k)),
-        "rho": np.empty(kept),
-        "sigma2_u": np.empty((kept, t_len)),
-        "sigma2_eps": np.empty((kept, t_len)),
-        "mu_s0": np.empty(kept),
-        "v_s0": np.empty(kept),
-        "q_alpha": np.empty(kept),
-        "q_rho": np.empty(kept),
-        "q_sigma_u": np.empty(kept),
-        "q_sigma_eps": np.empty(kept),
-        "v_delta_alpha": np.empty((kept, k, k)),
-        "v_delta_rho": np.empty(kept),
-    }
-    if config.heteroskedastic:
-        common_draws["v_delta_sigma_u"] = np.empty(kept)
-        common_draws["v_delta_sigma_eps"] = np.empty(kept)
-    unit_names = [
-        "delta_rho", "delta_sigma_u", "delta_sigma_eps",
-        "z_alpha", "z_rho", "z_sigma_u", "z_sigma_eps", "s_last",
-    ] + [f"delta_alpha_{j}" for j in range(k)]
-    unit_draws = {name: np.empty((kept, n)) for name in unit_names} if config.store_unit_draws else {}
-    unit_sums = {name: np.zeros(n) for name in unit_names}
-    kept_count = 0
+    recorder = DrawRecorder(config.n_draws, config.burn_in, config.thin, config.store_unit_draws)
     for j in range(config.n_draws):
-        in_burn = j < config.burn_in
-        m2_sweep(
-            y, x, mask, common, units, config, adapts, gen,
-            fixed_common=fixed_common is not None,
-            adapt_enabled=in_burn or config.adapt_after_burnin,
-        )
-        if in_burn or (j - config.burn_in) % config.thin:
+        m2_sweep(y, x, mask, common, units, config, adapts, gen, adapt_enabled=j < config.burn_in)
+        if not recorder.keeps(j):
             continue
-        idx = kept_count
-        kept_count += 1
-        common_draws["alpha"][idx] = common.alpha
-        common_draws["rho"][idx] = common.rho
-        common_draws["sigma2_u"][idx] = common.sigma2_u
-        common_draws["sigma2_eps"][idx] = common.sigma2_eps
-        common_draws["mu_s0"][idx] = common.mu_s0
-        common_draws["v_s0"][idx] = common.v_s0
-        for label in ("alpha", "rho", "sigma_u", "sigma_eps"):
-            common_draws["q_" + label][idx] = common.q[label]
-        common_draws["v_delta_alpha"][idx] = np.atleast_2d(common.v_delta_alpha)
-        common_draws["v_delta_rho"][idx] = common.v_delta_rho
+        draw = {"alpha": common.alpha, "rho": common.rho, "sigma2_u": common.sigma2_u,
+                "sigma2_eps": common.sigma2_eps, "mu_s0": common.mu_s0, "v_s0": common.v_s0,
+                "v_delta_alpha": np.atleast_2d(common.v_delta_alpha),
+                "v_delta_rho": common.v_delta_rho}
+        for label in M2_BLOCKS:
+            draw["q_" + label] = common.q[label]
         if config.heteroskedastic:
-            common_draws["v_delta_sigma_u"][idx] = common.v_delta_sigma_u
-            common_draws["v_delta_sigma_eps"][idx] = common.v_delta_sigma_eps
-        values = {
-            "delta_rho": units.delta_rho,
-            "delta_sigma_u": units.delta_sigma_u,
-            "delta_sigma_eps": units.delta_sigma_eps,
-            "z_alpha": units.z["alpha"],
-            "z_rho": units.z["rho"],
-            "z_sigma_u": units.z["sigma_u"],
-            "z_sigma_eps": units.z["sigma_eps"],
-            "s_last": units.s[:, -1],
-        }
+            draw["v_delta_sigma_u"] = common.v_delta_sigma_u
+            draw["v_delta_sigma_eps"] = common.v_delta_sigma_eps
+        unit = {"delta_rho": units.delta_rho, "delta_sigma_u": units.delta_sigma_u,
+                "delta_sigma_eps": units.delta_sigma_eps, "s_last": units.s[:, -1]}
+        for label in M2_BLOCKS:
+            unit["z_" + label] = units.z[label]
         for col in range(k):
-            values[f"delta_alpha_{col}"] = units.delta_alpha[:, col]
-        for name in unit_sums:
-            unit_sums[name] += values[name]
-        for name in unit_draws:
-            unit_draws[name][idx] = values[name]
-    assert kept_count == kept
-    return ChainOutput(
-        common=common_draws,
-        unit=unit_draws,
-        unit_means={name: total / kept for name, total in unit_sums.items()},
+            unit[f"delta_alpha_{col}"] = units.delta_alpha[:, col]
+        recorder.record(draw, unit)
+    return recorder.output(
+        {"model": "m2", "variant": config.variant},
         diagnostics={
             "rwmh_acceptance_sigma_u": adapts["sigma_u"].acceptance_rate,
             "rwmh_acceptance_sigma_eps": adapts["sigma_eps"].acceptance_rate,
-        },
-        config={
-            "model": "m2",
-            "variant": config.variant,
-            "n_draws": config.n_draws,
-            "burn_in": config.burn_in,
-            "thin": config.thin,
         },
         unit_ids=data.unit_ids,
     )
@@ -490,7 +424,7 @@ def _individual_param_draw(y, x, mask, priors: IndividualPriors, coef, s, sig_ep
     return r, sig_u, sig_eps
 
 
-def run_m2_individual(y, x, n_draws: int, burn_in: int, rng,
+def run_m2_individual(data: PanelData, n_draws: int, burn_in: int, rng,
                       priors: Optional[IndividualPriors] = None,
                       thin: int = 1) -> ChainOutput:
     """Every unit's single-unit state-space sampler, run together as one chain.
@@ -498,54 +432,27 @@ def run_m2_individual(y, x, n_draws: int, burn_in: int, rng,
     Unit i is estimated on its own history alone:
     y_it = x_it' a_i + s_it + sigma_u,i u_it,  s_it = r_i s_i,t-1 + sigma_eps,i eps_it,
     with constant variances and proper Normal/IG priors on everything. No
-    block couples units, so unit i's draws are those of its own chain. `y`
-    is (N, T) and `x` (N, T, k); a cell where either is missing carries no
-    measurement. The draws in `common` have shape (kept, N) or, for "coef",
-    (kept, N, k).
+    block couples units, so unit i's draws are those of its own chain. The
+    panel is read as `run_m2` reads it, from its first observed period on.
+    The draws in `common` have shape (kept, N) or, for "coef", (kept, N, k).
     """
     gen = as_generator(rng)
     priors = priors or IndividualPriors()
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.ndim != 2 or x.ndim != 3 or x.shape[:2] != y.shape:
-        raise ValueError(f"need y of shape (N, T) and x of shape (N, T, k), got {y.shape} "
-                         f"and {x.shape}")
+    recorder = DrawRecorder(n_draws, burn_in, thin)
+    y, mask, x = _extract_m2_arrays(data)
     n, t_len, k = x.shape
     if t_len < 3:
         raise ValueError("individual estimation needs at least 3 periods")
-    if not 0 <= burn_in < n_draws:
-        raise ConfigurationError("burn_in must satisfy 0 <= burn_in < n_draws")
-    mask = np.isfinite(y) & np.isfinite(x).all(axis=2)
-    y = np.where(mask, y, 0.0)
-    x = np.where(mask[:, :, None], x, 0.0)
 
     r = np.full(n, priors.rho_mean)
     sig_u = np.full(n, priors.noise_u.mean)
     sig_eps = np.full(n, priors.noise_eps.mean)
-    kept = (n_draws - burn_in + thin - 1) // thin
-    out = {
-        "coef": np.empty((kept, n, k)),
-        "rho_i": np.empty((kept, n)),
-        "sigma2_u": np.empty((kept, n)),
-        "sigma2_eps": np.empty((kept, n)),
-        "s_last": np.empty((kept, n)),
-    }
-    idx = 0
     for j in range(n_draws):
         draw = _individual_state_draw(y, x, mask, priors, r, sig_u, sig_eps,
                                       gen.standard_normal((n, t_len + k)), gen.standard_normal(n))
         r, sig_u, sig_eps = _individual_param_draw(y, x, mask, priors, draw.delta_alpha, draw.s,
                                                    sig_eps, gen)
-        if j < burn_in or (j - burn_in) % thin:
-            continue
-        out["coef"][idx] = draw.delta_alpha
-        out["rho_i"][idx] = r
-        out["sigma2_u"][idx] = sig_u
-        out["sigma2_eps"][idx] = sig_eps
-        out["s_last"][idx] = draw.s[:, -1]
-        idx += 1
-    assert idx == kept
-    return ChainOutput(
-        common=out,
-        config={"model": "m2_individual", "n_draws": n_draws, "burn_in": burn_in, "thin": thin},
-    )
+        if recorder.keeps(j):
+            recorder.record({"coef": draw.delta_alpha, "rho_i": r, "sigma2_u": sig_u,
+                             "sigma2_eps": sig_eps, "s_last": draw.s[:, -1]})
+    return recorder.output({"model": "m2_individual"}, unit_ids=data.unit_ids)

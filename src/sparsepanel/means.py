@@ -16,6 +16,7 @@ import numpy as np
 from scipy import special
 
 from sparsepanel.blocks import update_q, update_v_delta_normal
+from sparsepanel.chainout import DrawRecorder
 from sparsepanel.distributions import InverseGammaSpec
 from sparsepanel.rng import as_generator
 
@@ -212,15 +213,8 @@ def gibbs_means(y, q_prior: Tuple[float, float], v_prior: InverseGammaSpec, n_dr
     a, b = q_prior
     q = fixed_hyper[0] if fixed_hyper else float(gen.beta(a, b))
     v = fixed_hyper[1] if fixed_hyper else max(v_prior.mean, 1e-3)
-    z = np.zeros(n, dtype=np.int64)
-    delta = np.zeros(n)
-    out = {
-        "q": np.empty(n_draws),
-        "v_delta": np.empty(n_draws),
-        "z": np.empty((n_draws, n), dtype=np.int64),
-        "delta": np.empty((n_draws, n)),
-    }
-    for j in range(n_draws):
+    recorder = DrawRecorder(n_draws)
+    for _ in range(n_draws):
         post_q = np.array([exact_posterior(float(yi), q, v).q_star for yi in y])
         z = (gen.random(n) < post_q).astype(np.int64)
         shrink = 1.0 / (1.0 / v + 1.0) if v > 0 else 0.0
@@ -228,8 +222,5 @@ def gibbs_means(y, q_prior: Tuple[float, float], v_prior: InverseGammaSpec, n_dr
         if not fixed_hyper:
             q = update_q(z, a, b, gen)
             v = update_v_delta_normal(z, delta, v_prior, gen)
-        out["q"][j] = q
-        out["v_delta"][j] = v
-        out["z"][j] = z
-        out["delta"][j] = delta
-    return out
+        recorder.record({"q": q, "v_delta": v, "z": z, "delta": delta})
+    return recorder.common

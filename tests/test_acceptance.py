@@ -542,7 +542,7 @@ def test_criterion_8_forecast_calibration():
                        np.random.default_rng(7000 + rep))
         lo, hi = pred.interval(1, 0.90)
         hits.append((holdout >= lo) & (holdout <= hi))
-        singles = run_m2_individual(data.y[:, 1:], data.x[:, 1:, :], n_draws=400, burn_in=200,
+        singles = run_m2_individual(data, n_draws=400, burn_in=200,
                                     rng=np.random.default_rng(9000 + rep))
         indiv = predict(singles, data, [1], "individual_info",
                         np.random.default_rng(9999 + rep))

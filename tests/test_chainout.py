@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from sparsepanel.chainout import ChainOutput, hpd_interval, summarize
+from sparsepanel.blocks import HyperParams
+from sparsepanel.chainout import ChainOutput, DrawRecorder, hpd_interval, summarize
+from sparsepanel.cli import _default_m2_truth
+from sparsepanel.mc import MCDesign
+from sparsepanel.m1 import VARIANTS as M1_VARIANTS, M1Config, run_m1
+from sparsepanel.m2 import VARIANTS as M2_VARIANTS, M2Config, run_m2, run_m2_individual
+from sparsepanel.panel import simulate_m1, simulate_m2
 
 
 def test_hpd_interval_exhaustive_oracle():
@@ -68,3 +74,84 @@ def test_to_dir_writes_manifest_and_is_deterministic(tmp_path):
     # Values survive the round trip at full precision.
     body = np.genfromtxt(d1 / "common.csv", delimiter=",", names=True)
     np.testing.assert_array_equal(body["alpha"], chain.common["alpha"])
+
+
+def test_recorder_keeps_thinned_draws_and_unit_means():
+    rec = DrawRecorder(n_draws=10, burn_in=3, thin=3, store_unit_draws=False)
+    assert [j for j in range(10) if rec.keeps(j)] == [3, 6, 9]
+    for j in (3, 6, 9):
+        # a leading replication axis needs nothing of the recorder
+        rec.record({"a": np.full((2, 4), j)}, unit={"u": np.arange(4) + j},
+                   means_only={"m": np.full(3, 2.0 * j)})
+    chain = rec.output({"model": "x"})
+    assert chain.common["a"].shape == (3, 2, 4)
+    np.testing.assert_array_equal(chain.common["a"][:, 0, 0], [3, 6, 9])
+    assert chain.unit == {}
+    np.testing.assert_array_equal(chain.unit_means["u"], np.arange(4) + 6.0)
+    np.testing.assert_array_equal(chain.unit_means["m"], np.full(3, 12.0))
+    assert chain.config == {"model": "x", "n_draws": 10, "burn_in": 3, "thin": 3}
+
+
+M1_N, M2_N, M2_T, KEPT = 5, 4, 4, 3
+M1_UNIT = ("delta_alpha", "delta_rho", "delta_sigma", "z_alpha", "z_rho", "z_sigma")
+M2_UNIT = ("delta_rho", "delta_sigma_u", "delta_sigma_eps", "z_alpha", "z_rho", "z_sigma_u",
+           "z_sigma_eps", "s_last", "delta_alpha_0", "delta_alpha_1")
+
+
+def _shapes(table):
+    return {name: arr.shape for name, arr in table.items()}
+
+
+@pytest.mark.parametrize("variant", M1_VARIANTS)
+def test_m1_chain_schema(variant):
+    data, _ = simulate_m1(MCDesign(model="m1_hetsk").theta, HyperParams.m1_defaults(), M1_N, 4,
+                          np.random.default_rng(0), heteroskedastic=True)
+    chain = run_m1(data, M1Config(variant=variant, n_draws=8, burn_in=2, thin=2),
+                   np.random.default_rng(1))
+    common = ["alpha", "rho", "sigma2", "q_alpha", "q_rho", "v_delta_alpha", "v_delta_rho"]
+    if variant in ("ss_hetsk", "full_hetero_hetsk"):
+        common += ["q_sigma", "v_delta_sigma"]
+    assert _shapes(chain.common) == {name: (KEPT,) for name in common}
+    assert _shapes(chain.unit) == {name: (KEPT, M1_N) for name in M1_UNIT}
+    assert _shapes(chain.unit_means) == {
+        name: (M1_N,) for name in M1_UNIT + ("alpha_i", "rho_i", "sigma2_i")}
+    assert chain.config == {"model": "m1", "variant": variant, "n_draws": 8, "burn_in": 2,
+                            "thin": 2}
+    assert chain.unit_ids == data.unit_ids
+
+
+def _m2_panel():
+    data, _ = simulate_m2(_default_m2_truth(M2_T), HyperParams.m2_defaults(), M2_N, M2_T,
+                          np.cumsum(np.ones((M2_N, M2_T)), axis=1), np.random.default_rng(0))
+    return data
+
+
+@pytest.mark.parametrize("variant", M2_VARIANTS)
+def test_m2_chain_schema(variant):
+    data = _m2_panel()
+    chain = run_m2(data, M2Config(variant=variant, n_draws=8, burn_in=2, thin=2),
+                   np.random.default_rng(1))
+    common = {"alpha": (KEPT, 2), "rho": (KEPT,), "sigma2_u": (KEPT, M2_T),
+              "sigma2_eps": (KEPT, M2_T), "mu_s0": (KEPT,), "v_s0": (KEPT,), "q_alpha": (KEPT,),
+              "q_rho": (KEPT,), "q_sigma_u": (KEPT,), "q_sigma_eps": (KEPT,),
+              "v_delta_alpha": (KEPT, 2, 2), "v_delta_rho": (KEPT,)}
+    if variant != "homosk":
+        common.update(v_delta_sigma_u=(KEPT,), v_delta_sigma_eps=(KEPT,))
+    assert _shapes(chain.common) == common
+    assert _shapes(chain.unit) == {name: (KEPT, M2_N) for name in M2_UNIT}
+    assert _shapes(chain.unit_means) == {name: (M2_N,) for name in M2_UNIT}
+    assert chain.config == {"model": "m2", "variant": variant, "n_draws": 8, "burn_in": 2,
+                            "thin": 2}
+    lean = run_m2(data, M2Config(variant=variant, n_draws=8, burn_in=2, thin=2,
+                                 store_unit_draws=False), np.random.default_rng(1))
+    assert lean.unit == {} and _shapes(lean.unit_means) == _shapes(chain.unit_means)
+
+
+def test_individual_chain_schema():
+    data = _m2_panel()
+    singles = run_m2_individual(data, n_draws=8, burn_in=2, rng=np.random.default_rng(1), thin=2)
+    assert _shapes(singles.common) == {"coef": (KEPT, M2_N, 2), "rho_i": (KEPT, M2_N),
+                                       "sigma2_u": (KEPT, M2_N), "sigma2_eps": (KEPT, M2_N),
+                                       "s_last": (KEPT, M2_N)}
+    assert singles.unit == {} and singles.unit_means == {}
+    assert singles.config == {"model": "m2_individual", "n_draws": 8, "burn_in": 2, "thin": 2}

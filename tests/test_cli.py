@@ -13,6 +13,8 @@ from scipy.stats import norm
 
 from sparsepanel import cli
 from sparsepanel.cli import _default_m2_truth, main, validate_config
+from sparsepanel.forecast import predict, write_fan_chart
+from sparsepanel.m2 import run_m2_individual
 from sparsepanel.panel import load_panel, write_panel
 from sparsepanel.rng import RngStream, as_generator
 
@@ -115,7 +117,24 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
             ["simulate", "--model", "m2", "--n", "8", "--t", "5", "--seed", "11",
              "--out", str(sim)], capsys)
         assert code == 0
-        outs.append((sim / "panel.csv").read_bytes())
+        files = {"panel.csv": (sim / "panel.csv").read_bytes()}
+        chain_dir = sim / "chain"
+        code, _, _ = run_cli(
+            ["estimate", "--model", "m2", "--data", str(sim / "panel.csv"), "--draws", "30",
+             "--burnin", "10", "--thin", "3", "--seed", "2", "--out", str(chain_dir)], capsys)
+        assert code == 0
+        for fname in ("common.csv", "unit.csv", "unit_means.csv"):
+            files[fname] = (chain_dir / fname).read_bytes()
+        manifest = json.loads((chain_dir / "manifest.json").read_text())
+        del manifest["written_at"]
+        files["manifest.json"] = manifest
+        fc = sim / "fc"
+        code, _, _ = run_cli(
+            ["forecast", "--model", "m2", "--data", str(sim / "panel.csv"), "--draws", "30",
+             "--burnin", "10", "--seed", "2", "--horizons", "1,2", "--out", str(fc)], capsys)
+        assert code == 0
+        files["fan_chart.csv"] = (fc / "fan_chart.csv").read_bytes()
+        outs.append(files)
     assert outs[0] == outs[1]
 
 
@@ -255,6 +274,26 @@ def test_forecast_rejects_regressors_it_cannot_extend(tmp_path, capsys):
             assert code == 1 and out == ""
             assert err.splitlines()[-1].startswith("error: forecast regressors must be "
                                                     "[1, experience/10]")
+
+
+def test_individual_forecast_fits_every_observed_period(tmp_path, capsys):
+    # a CSV panel holds only observed periods, so the CLI must fit all of them
+    sim = tmp_path / "sim"
+    code, _, _ = run_cli(["simulate", "--model", "m2", "--n", "3", "--t", "3", "--seed", "3",
+                          "--out", str(sim)], capsys)
+    assert code == 0
+    data = load_panel(sim / "panel.csv")
+    assert data.n_periods == 3 and data.mask.all()
+    code, _, err = run_cli(
+        ["forecast", "--model", "m2", "--data", str(sim / "panel.csv"), "--draws", "6",
+         "--burnin", "2", "--seed", "1", "--scenario", "individual_info",
+         "--out", str(tmp_path / "fc")], capsys)
+    assert code == 0, err
+    chain = run_m2_individual(data, n_draws=6, burn_in=2, rng=RngStream(1, 4))
+    write_fan_chart(predict(chain, data, (1,), "individual_info", RngStream(1, 3)),
+                    tmp_path / "expected.csv")
+    assert ((tmp_path / "fc" / "fan_chart.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
 
 
 def strict_json(text):

@@ -168,7 +168,7 @@ def test_individual_scenario_widens_intervals():
     data, _, chain = make_fit(n=8, t=6, n_draws=300, burn_in=100)
     rng = np.random.default_rng(9)
     full = predict(chain, data, [1], "full_info_param_unc", rng)
-    singles = run_m2_individual(data.y[:, 1:], data.x[:, 1:, :], n_draws=400, burn_in=200,
+    singles = run_m2_individual(data, n_draws=400, burn_in=200,
                                 rng=np.random.default_rng(100))
     indiv = predict(singles, data, [1], "individual_info", rng)
     w_full = np.subtract(*reversed(full.interval(1)))

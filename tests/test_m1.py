@@ -34,6 +34,10 @@ def test_config_validation():
         M1Config(n_draws=100, burn_in=100)
     with pytest.raises(ConfigurationError):
         M1Config(thin=0)
+    with pytest.raises(ConfigurationError):
+        M1Config(thin=-1)
+    with pytest.raises(ConfigurationError):
+        M1Config(n_draws=100, burn_in=-1)
 
 
 def test_reproducibility_same_stream():

@@ -1,5 +1,7 @@
 """Tests for the latent-state panel model sampler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,14 @@ def test_config_validation():
         M2Config(variant="baseline", n_draws=10, burn_in=10)
     with pytest.raises(ConfigurationError):
         M2Config(variant="baseline", n_draws=10, burn_in=2, thin=0)
+    with pytest.raises(ConfigurationError):
+        M2Config(variant="baseline", n_draws=10, burn_in=2, thin=-1)
+    # the single-unit chains take the same chain-length checks
+    data, _, _ = simulate_small(n=2, t=4)
+    for n_draws, burn_in, thin in ((10, 2, 0), (10, 2, -1), (10, 10, 1), (10, -1, 1)):
+        with pytest.raises(ConfigurationError):
+            run_m2_individual(data, n_draws=n_draws, burn_in=burn_in,
+                              rng=np.random.default_rng(0), thin=thin)
     assert M2Config(variant="baseline").heteroskedastic
     assert not M2Config(variant="homosk").heteroskedastic
     assert M2Config(variant="rip").coef_heterogeneity is False
@@ -182,17 +192,6 @@ def test_homosk_variant_has_unit_variance_scales():
     assert "v_delta_sigma_u" not in chain.common
 
 
-def test_fixed_common_holds_shared_parameters():
-    data, _, theta = simulate_small()
-    chain = run_m2(data, small_config(), np.random.default_rng(9), fixed_common=theta)
-    assert np.all(chain.common["rho"] == theta.rho)
-    np.testing.assert_array_equal(chain.common["alpha"], np.tile(theta.alpha, (chain.n_draws, 1)))
-    np.testing.assert_array_equal(chain.common["sigma2_u"][0], theta.sigma2_u)
-    assert np.all(chain.common["q_alpha"] == theta.q["alpha"])
-    # unit-level quantities still move
-    assert np.std(chain.unit["s_last"][:, 0]) > 0
-
-
 def test_output_shapes_and_thinning():
     data, _, _ = simulate_small(n=8, t=4)
     chain = run_m2(data, small_config(n_draws=50, burn_in=20, thin=3), np.random.default_rng(1))
@@ -207,23 +206,26 @@ def test_output_shapes_and_thinning():
 
 def test_individual_model_runs_and_rejects_short_history():
     data, _, _ = simulate_small(n=3, t=6)
-    y, x = data.y[:, 1:], data.x[:, 1:, :]
-    chain = run_m2_individual(y, x, n_draws=80, burn_in=40, rng=np.random.default_rng(2))
+    chain = run_m2_individual(data, n_draws=80, burn_in=40, rng=np.random.default_rng(2))
     assert chain.n_draws == 40
     assert chain.common["coef"].shape == (40, 3, 2)
     for name in ("rho_i", "sigma2_u", "sigma2_eps", "s_last"):
         assert chain.common[name].shape == (40, 3)
     assert np.all(chain.common["sigma2_u"] > 0)
-    with pytest.raises(ValueError):
-        run_m2_individual(y[:, :2], x[:, :2], n_draws=10, burn_in=5,
-                          rng=np.random.default_rng(2))
+    # the leading unobserved column is dropped, leaving two periods
+    short = replace(data, times=data.times[:3], y=data.y[:, :3], mask=data.mask[:, :3],
+                    x=data.x[:, :3])
+    with pytest.raises(ValueError, match="at least 3 periods"):
+        run_m2_individual(short, n_draws=10, burn_in=5, rng=np.random.default_rng(2))
 
 
 def test_individual_model_skips_missing_cells():
     data, _, _ = simulate_small(n=3, t=6)
-    y, x = data.y[:, 1:].copy(), data.x[:, 1:, :].copy()
-    y[0, 2], x[1, 4, 1] = np.nan, np.nan
-    chain = run_m2_individual(y, x, n_draws=40, burn_in=20, rng=np.random.default_rng(3))
+    y, mask, x = data.y.copy(), data.mask.copy(), data.x.copy()
+    y[0, 3], mask[0, 3] = np.nan, False  # a missing outcome
+    x[1, 5, 1] = np.nan  # an observed outcome with a missing regressor
+    chain = run_m2_individual(replace(data, y=y, mask=mask, x=x), n_draws=40, burn_in=20,
+                              rng=np.random.default_rng(3))
     for draws in chain.common.values():
         assert np.all(np.isfinite(draws))
 
