@@ -8,17 +8,19 @@ ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy import special
 
 from sparsepanel.distributions import (
     InverseGammaSpec,
     InverseWishartSpec,
     TruncatedNormalSpec,
     _inv,
+    expit,
+    log_ndtr,
     sample_beta,
     sample_inverse_gamma,
     sample_inverse_wishart,
@@ -197,7 +199,7 @@ def _log_odds_prior(q: float) -> float:
 def _draw_indicators(log_k, rng):
     """Bernoulli draws from log posterior odds, robust at +-inf."""
     gen = as_generator(rng)
-    p = special.expit(log_k)
+    p = expit(log_k)
     return (gen.random(size=np.shape(log_k)) < p).astype(np.int64)
 
 
@@ -226,22 +228,19 @@ def update_indicator_and_deviation_ig(q, v_delta_sigma, weighted_ssr, n_obs, rng
     the spike value delta = 1; `n_obs[i]` is the unit's observation count.
     """
     weighted_ssr = np.asarray(weighted_ssr, dtype=float)
-    n_obs = np.asarray(n_obs, dtype=float)
+    counts = np.asarray(n_obs, dtype=np.intp)
     inv_v = 1.0 / v_delta_sigma
-    nu_bar = 2.0 * inv_v + 4.0 + n_obs
+    a = inv_v + 2.0  # the slab is IG(a, a - 1)
+    half_nu = (2.0 * inv_v + 4.0 + counts) / 2.0
     tau_bar = 2.0 * inv_v + 2.0 + weighted_ssr
-    log_k = (
-        _log_odds_prior(q)
-        + special.gammaln(nu_bar / 2.0)
-        - special.gammaln(inv_v + 2.0)
-        + (inv_v + 2.0) * np.log(inv_v + 1.0)
-        - (nu_bar / 2.0) * np.log(tau_bar / 2.0)
-        + weighted_ssr / 2.0
-    )
+    # lgamma(half_nu) = lgamma(a + n/2), from a table over the few distinct counts
+    lgamma_post = np.array([math.lgamma(a + 0.5 * k) for k in range(int(counts.max()) + 1)])
+    unit_free = _log_odds_prior(q) - math.lgamma(a) + a * math.log(inv_v + 1.0)
+    log_k = unit_free + lgamma_post[counts] - half_nu * np.log(tau_bar / 2.0) + weighted_ssr / 2.0
     z = _draw_indicators(log_k, rng)
     gen = as_generator(rng)
-    # IG(nu_bar/2, tau_bar/2) via reciprocal Gamma, drawn for every unit then masked.
-    g = gen.gamma(shape=nu_bar / 2.0, scale=2.0 / tau_bar)
+    # IG(half_nu, tau_bar/2) via reciprocal Gamma, drawn for every unit then masked.
+    g = gen.gamma(shape=half_nu, scale=2.0 / tau_bar)
     delta_sigma = np.where(z == 1, 1.0 / g, 1.0)
     return z, delta_sigma
 
@@ -255,7 +254,7 @@ def log_posterior_slab_variance(omega: float, active_deltas, prior: InverseGamma
     inv = 1.0 / omega
     value = (
         psi * (inv + 2.0) * np.log(inv + 1.0)
-        - psi * special.gammaln(inv + 2.0)
+        - psi * math.lgamma(inv + 2.0)
         - (prior.nu / 2.0 + 1.0) * np.log(omega)
         - inv * (float(np.sum(np.log(active_deltas) + 1.0 / active_deltas)) + prior.tau / 2.0)
     )
@@ -283,7 +282,7 @@ def update_v_delta_sigma_rwmh(
     lp_prop = log_posterior_slab_variance(proposal, active_deltas, prior)
     lp_cur = log_posterior_slab_variance(omega, active_deltas, prior)
     if np.isfinite(lp_prop):
-        log_accept = (lp_prop - lp_cur) - (special.log_ndtr(proposal / c) - special.log_ndtr(omega / c))
+        log_accept = (lp_prop - lp_cur) - (log_ndtr(proposal / c) - log_ndtr(omega / c))
         accept_prob = float(min(1.0, np.exp(min(log_accept, 0.0))))
     else:
         accept_prob = 0.0

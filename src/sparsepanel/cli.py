@@ -195,15 +195,12 @@ def _progress(msg: str) -> None:
 
 
 def _write_manifest(out_dir: Path, rc: RunConfig, wall_time: float, outputs: List[str]) -> None:
-    import scipy
-
     manifest = {
         "config": {k: v for k, v in asdict(rc).items() if k != "extra"},
         "seed": rc.seed,
         "versions": {
             "sparsepanel": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "wall_time_seconds": round(wall_time, 3),

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from sparsepanel.blocks import CommonState
 from sparsepanel.chainout import ChainOutput
@@ -221,7 +220,11 @@ def score(pred: PredictiveDraws, realized: np.ndarray) -> ScoreReport:
                     + (realized[None, :] - m) ** 2 / np.where(v > 0, v, 1.0)),
             np.where(np.isclose(m, realized[None, :]), np.inf, -np.inf),
         )
-        per_unit = logsumexp(logpdf, axis=0) - np.log(n_draws)
+        # log-mean-exp over draws, shifted by each column's finite maximum: a
+        # column holding +inf gives +inf, and an all -inf column gives -inf
+        peak = logpdf.max(axis=0)
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        per_unit = np.log(np.exp(logpdf - shift).sum(axis=0)) + shift - np.log(n_draws)
     zero = [pred.unit_ids[i] for i in np.flatnonzero(np.isneginf(per_unit))]
     lps = float(np.mean(per_unit)) if not zero else float("-inf")
     return ScoreReport(mse=mse, lps=lps, per_unit_lps=per_unit, zero_density_units=zero)

@@ -8,6 +8,7 @@ in the moments of any test function flags an incorrect updating block.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 import numpy as np
@@ -36,21 +37,33 @@ def batch_means_variance(x: np.ndarray, n_batches: int = 30) -> float:
 
 def z_statistics(marginal: Dict[str, np.ndarray], successive: Dict[str, np.ndarray]) -> Dict[str, float]:
     """Standardized mean differences between the two simulators, with a
-    batch-means correction for the autocorrelated chain."""
+    batch-means correction for the autocorrelated chain.
+
+    A test function that is constant under both simulators has no variance
+    to standardize by, so its two values are compared exactly: z is 0 when
+    they agree and +-inf when they differ, never NaN.
+    """
     out = {}
     for name, mc in marginal.items():
         sc = successive[name]
+        if np.ptp(mc) == 0 and np.ptp(sc) == 0:
+            diff = float(sc[0] - mc[0])
+            out[name] = 0.0 if diff == 0 else math.copysign(math.inf, diff)
+            continue
         var = mc.var(ddof=1) / mc.size + batch_means_variance(sc)
         out[name] = float((sc.mean() - mc.mean()) / np.sqrt(var))
     return out
 
 
-def _draw_m1_common(hyper: HyperParams, heteroskedastic: bool, gen) -> CommonState:
-    q = {
-        "alpha": float(gen.beta(hyper.a, hyper.b)),
-        "rho": float(gen.beta(hyper.a, hyper.b)),
-        "sigma": float(gen.beta(hyper.a, hyper.b)) if heteroskedastic else 0.0,
-    }
+def _draw_m1_common(config: M1Config, gen) -> CommonState:
+    """A prior draw of the common parameters; q is pinned where the variant pins it."""
+    hyper = config.hyper
+    heteroskedastic = config.heteroskedastic
+
+    def draw_q() -> float:
+        return float(gen.beta(hyper.a, hyper.b)) if config.pinned_q is None else config.pinned_q
+
+    q = {"alpha": draw_q(), "rho": draw_q(), "sigma": draw_q() if heteroskedastic else 0.0}
     return CommonState(
         alpha=float(hyper.mu_alpha + np.sqrt(hyper.v_alpha) * gen.standard_normal()),
         rho=float(hyper.mu_rho + np.sqrt(hyper.v_rho) * gen.standard_normal()),
@@ -63,7 +76,7 @@ def _draw_m1_common(hyper: HyperParams, heteroskedastic: bool, gen) -> CommonSta
     )
 
 
-def _m1_test_functions(common: CommonState, units: UnitState, heteroskedastic: bool) -> Dict[str, float]:
+def _m1_test_functions(common: CommonState, units: UnitState, config: M1Config) -> Dict[str, float]:
     g = {
         "alpha": common.alpha,
         "alpha_sq": common.alpha**2,
@@ -73,8 +86,6 @@ def _m1_test_functions(common: CommonState, units: UnitState, heteroskedastic: b
         "log_sigma2": np.log(common.sigma2),
         "q_alpha": common.q["alpha"],
         "q_rho": common.q["rho"],
-        "log_v_delta_alpha": np.log(common.v_delta_alpha),
-        "log_v_delta_rho": np.log(common.v_delta_rho),
         "mean_z_alpha": units.z["alpha"].mean(),
         "mean_z_rho": units.z["rho"].mean(),
         "mean_delta_alpha": units.delta_alpha.mean(),
@@ -82,7 +93,10 @@ def _m1_test_functions(common: CommonState, units: UnitState, heteroskedastic: b
         "mean_delta_rho_sq": (units.delta_rho**2).mean(),
         "alpha_times_rho": common.alpha * common.rho,
     }
-    if heteroskedastic:
+    if config.variant != "homogeneous":  # the homogeneous sweep never updates the slab variances
+        g["log_v_delta_alpha"] = np.log(common.v_delta_alpha)
+        g["log_v_delta_rho"] = np.log(common.v_delta_rho)
+    if config.heteroskedastic:
         g["q_sigma"] = common.q["sigma"]
         g["log_v_delta_sigma"] = np.log(common.v_delta_sigma)
         g["mean_z_sigma"] = units.z["sigma"].mean()
@@ -104,12 +118,12 @@ def run_geweke_m1(variant: str, n: int, t: int, n_iter: int, rng,
 
     marginal = DrawRecorder(n_iter)
     for _ in range(n_iter):
-        common = _draw_m1_common(hyper, hetsk, gen_mc)
+        common = _draw_m1_common(config, gen_mc)
         _, units = simulate_m1(common, hyper, n, t, gen_mc, heteroskedastic=hetsk)
-        marginal.record(_m1_test_functions(common, units, hetsk))
+        marginal.record(_m1_test_functions(common, units, config))
 
     successive = DrawRecorder(n_iter * thin, thin=thin)
-    common = _draw_m1_common(hyper, hetsk, gen_sc)
+    common = _draw_m1_common(config, gen_sc)
     _, units = simulate_m1(common, hyper, n, t, gen_sc, heteroskedastic=hetsk)
     adapt = RwmhAdaptState()
     y0 = np.zeros(n)
@@ -117,7 +131,7 @@ def run_geweke_m1(variant: str, n: int, t: int, n_iter: int, rng,
         y = simulate_m1_given(common, units, t, gen_sc)
         m1_sweep(y0, y[:, 1:], common, units, config, adapt, gen_sc, adapt_enabled=False)
         if successive.keeps(j):
-            successive.record(_m1_test_functions(common, units, hetsk))
+            successive.record(_m1_test_functions(common, units, config))
 
     return {"marginal": marginal.common, "successive": successive.common}
 

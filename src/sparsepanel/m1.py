@@ -58,13 +58,18 @@ class M1Config:
     def heteroskedastic(self) -> bool:
         return self.variant in ("ss_hetsk", "full_hetero_hetsk")
 
+    @property
+    def pinned_q(self) -> Optional[float]:
+        """The inclusion probability the variant fixes (0 or 1); None where q is sampled."""
+        return {"homogeneous": 0.0, "full_hetero_homosk": 1.0, "full_hetero_hetsk": 1.0}.get(self.variant)
+
 
 def init_m1_state(n: int, config: M1Config):
     """Common parameters at prior means; every unit starts at the spike."""
     hyper = config.hyper
-    q0 = {"homogeneous": 0.0, "full_hetero_homosk": 1.0, "full_hetero_hetsk": 1.0}.get(
-        config.variant, hyper.a / (hyper.a + hyper.b)
-    )
+    q0 = config.pinned_q
+    if q0 is None:
+        q0 = hyper.a / (hyper.a + hyper.b)
     common = CommonState(
         alpha=float(hyper.mu_alpha),
         rho=float(hyper.mu_rho),

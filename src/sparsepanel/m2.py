@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
-from scipy import special
 
 from sparsepanel.blocks import (
     CommonState,
@@ -33,7 +32,7 @@ from sparsepanel.blocks import (
     update_v_delta_sigma_rwmh,
 )
 from sparsepanel.chainout import ChainOutput, ConfigurationError, DrawRecorder, check_chain_lengths
-from sparsepanel.distributions import InverseGammaSpec, sample_inverse_gamma
+from sparsepanel.distributions import InverseGammaSpec, expit, sample_inverse_gamma
 from sparsepanel.panel import M2_BLOCKS, PanelData
 from sparsepanel.rng import as_generator
 
@@ -166,7 +165,7 @@ def draw_states_and_alpha_deviation(y, x, mask, common, units, hetero, u, e, e0)
         log_k = (_log_odds_prior(common.q["alpha"])
                  - 0.5 * (np.linalg.slogdet(v_alpha)[1] + logdet_s)
                  + 0.5 * (wa[:, :, 0] ** 2).sum(axis=1))
-        z = (u < special.expit(log_k)).astype(np.int64)
+        z = (u < expit(log_k)).astype(np.int64)
     else:  # a forced indicator: infinite odds, and `u` goes unused
         log_k = np.full(n, np.inf if hetero else -np.inf)
         z = np.full(n, int(hetero))

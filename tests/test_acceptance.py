@@ -30,6 +30,13 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from m2_oracle import build_state_prior_cov
+from means import (
+    argmax_estimator,
+    exact_posterior,
+    log_marginal_likelihood,
+    posterior_mean,
+    posterior_median,
+)
 from sparsepanel.blocks import (
     CommonState,
     HyperParams,
@@ -54,13 +61,6 @@ from sparsepanel.forecast import PredictiveDraws, predict, score
 from sparsepanel.geweke import _draw_m2_common, run_geweke_m1, run_geweke_m2, z_statistics
 from sparsepanel.m2 import M2Config, run_m2, run_m2_individual
 from sparsepanel.mc import MCDesign, _cell_theta, run_experiment
-from sparsepanel.means import (
-    argmax_estimator,
-    exact_posterior,
-    log_marginal_likelihood,
-    posterior_mean,
-    posterior_median,
-)
 from sparsepanel.panel import PanelData, simulate_m1
 from sparsepanel.rng import RngStream
 

@@ -320,9 +320,9 @@ def test_chain_manifest_is_strict_json(model, variant, tmp_path, capsys):
     assert undefined and all(name.startswith("rwmh_acceptance") for name in undefined)
 
 
-def test_cli_import_loads_neither_scipy_stats_nor_optimize():
+def test_cli_import_loads_no_scipy():
     code = ("import sys, sparsepanel.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import norm
 
 from sparsepanel.blocks import CommonState, HyperParams
 from sparsepanel.forecast import (
@@ -121,6 +123,30 @@ def test_score_zero_density_reports_units():
     assert report.lps == float("-inf")
     assert report.zero_density_units == ["b"]
     assert np.isneginf(report.per_unit_lps[1])
+
+
+def test_score_matches_scipy_logsumexp_on_infinite_columns():
+    # columns: finite densities; one zero-variance draw at the realization
+    # (+inf); every draw at zero variance away from it (all -inf)
+    rng = np.random.default_rng(4)
+    n_draws = 60
+    realized = np.array([0.3, -1.2, 2.0])
+    m = rng.normal(0.0, 1.0, size=(n_draws, 3))
+    v = rng.uniform(0.5, 2.0, size=(n_draws, 3))
+    m[7, 1], v[7, 1] = realized[1], 0.0
+    m[:, 2], v[:, 2] = realized[2] + 1.0, 0.0
+    pred = PredictiveDraws(m[:, :, None], m, v, "full_info_param_unc", (1,), ("a", "b", "c"))
+    report = score(pred, realized)
+
+    logpdf = np.full((n_draws, 3), -np.inf)
+    pos = v > 0
+    logpdf[pos] = norm.logpdf(np.broadcast_to(realized, m.shape)[pos], m[pos], np.sqrt(v[pos]))
+    logpdf[7, 1] = np.inf
+    ref = logsumexp(logpdf, axis=0) - np.log(n_draws)
+    assert ref[1] == np.inf and ref[2] == -np.inf
+    np.testing.assert_array_equal(report.per_unit_lps[1:], ref[1:])
+    assert report.per_unit_lps[0] == pytest.approx(ref[0], rel=1e-14)
+    assert report.zero_density_units == ["c"]
 
 
 def test_score_deltas():

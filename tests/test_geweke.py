@@ -1,6 +1,9 @@
 """Smoke tests for the two-simulator sampler-consistency machinery."""
 
+import warnings
+
 import numpy as np
+import pytest
 
 from sparsepanel.geweke import (
     batch_means_variance,
@@ -47,3 +50,32 @@ def test_run_geweke_m2_structure():
     for name, arr in res["marginal"].items():
         assert arr.shape == (100,)
         assert np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("variant, pinned", [
+    ("homogeneous", 0.0), ("full_hetero_homosk", 1.0), ("full_hetero_hetsk", 1.0),
+])
+def test_pinned_variants_pin_q_and_z_in_both_simulators(variant, pinned):
+    res = run_geweke_m1(variant, 3, 3, 40, RngStream(seed=5, stream_id=0), thin=2)
+    for side in ("marginal", "successive"):
+        draws = {k: v for k, v in res[side].items() if k.startswith(("q_", "mean_z_"))}
+        assert len(draws) == (6 if variant.endswith("hetsk") else 4)
+        for name, values in draws.items():
+            assert np.all(values == pinned), (side, name)
+    # the homogeneous sweep never updates the slab variances, so they are no test function
+    has_slab = any(k.startswith("log_v_delta") for k in res["marginal"])
+    assert has_slab == (variant != "homogeneous")
+
+
+def test_z_statistics_compares_constant_functions_exactly():
+    # under "rip" no unit deviates, so four test functions are 0 in both simulators
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_geweke_m2("rip", 3, 3, 2, 40, RngStream(seed=7, stream_id=0), thin=3)
+        z = z_statistics(res["marginal"], res["successive"])
+    assert all(np.isfinite(v) for v in z.values())
+    for name in ("mean_z_alpha", "mean_delta_alpha_sq", "mean_z_rho", "mean_delta_rho_sq"):
+        assert z[name] == 0.0
+    # two different constants are a certain disagreement
+    z = z_statistics({"up": np.zeros(9), "down": np.ones(9)}, {"up": np.ones(9), "down": np.zeros(9)})
+    assert z == {"up": np.inf, "down": -np.inf}

@@ -12,8 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from sparsepanel.distributions import InverseGammaSpec
-from sparsepanel.means import (
+from means import (
     argmax_estimator,
     exact_posterior,
     gibbs_means,
@@ -21,6 +20,7 @@ from sparsepanel.means import (
     posterior_mean,
     posterior_median,
 )
+from sparsepanel.distributions import InverseGammaSpec
 from sparsepanel.rng import RngStream
 
 
