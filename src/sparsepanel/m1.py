@@ -44,6 +44,9 @@ class M1Config:
     thin: int = 1
     hyper: HyperParams = field(default_factory=HyperParams.m1_defaults)
     store_unit_draws: bool = True
+    # Normal prior of (alpha, rho), built once here rather than in every sweep.
+    coef_prior_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    coef_prior_cov: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -53,6 +56,8 @@ class M1Config:
             raise ConfigurationError(f"variant {self.variant!r} needs a v_delta_sigma prior")
         if self.hyper.sigma2 is None or self.hyper.v_delta_alpha is None:
             raise ConfigurationError("hyper must carry sigma2 and v_delta_alpha priors")
+        self.coef_prior_mean = np.array([float(self.hyper.mu_alpha), self.hyper.mu_rho])
+        self.coef_prior_cov = np.diag([float(self.hyper.v_alpha), self.hyper.v_rho])
 
     @property
     def heteroskedastic(self) -> bool:
@@ -93,39 +98,77 @@ def init_m1_state(n: int, config: M1Config):
     return common, units
 
 
-def _draw_joint_deviations(resid0, L, w, v_alpha, v_rho, gen):
+class UnitMoments:
+    """The per-unit sums through which the panel enters every M1 conditional.
+
+    With lag L_it = y_{i,t-1} and residual e_it = y_it - a - r L_it, the
+    blocks need only sum_t e_it, sum_t L_it e_it and sum_t e_it^2. These come
+    from the unit means of L and y and their centred cross products, which
+    stay accurate on panels far from zero, where uncentred sums cancel.
+    """
+
+    def __init__(self, y0, Y):
+        L = np.column_stack([y0, Y[:, :-1]])
+        n, self.t = Y.shape
+        self.n_obs = np.full(n, self.t)
+        self.sum_l = L.sum(axis=1)
+        self.sum_ll = (L * L).sum(axis=1)
+        self.mean_l = self.sum_l / self.t
+        self.mean_y = Y.mean(axis=1)
+        dl = L - self.mean_l[:, None]
+        dy = Y - self.mean_y[:, None]
+        self.c_ll = (dl * dl).sum(axis=1)
+        self.c_ly = (dl * dy).sum(axis=1)
+        self.c_yy = (dy * dy).sum(axis=1)
+
+    def mean_resid(self, a, r):
+        """Unit means of e_it; `a` and `r` are scalars or per-unit arrays."""
+        return self.mean_y - a - r * self.mean_l
+
+    def lag_resid(self, r, mean_resid):
+        """sum_t L_it e_it, given the `mean_resid(a, r)` of the same a and r."""
+        return self.c_ly - r * self.c_ll + self.sum_l * mean_resid
+
+    def ssr(self, a, r):
+        """sum_t e_it^2."""
+        m = self.mean_resid(a, r)
+        return self.c_yy - 2.0 * r * self.c_ly + r * r * self.c_ll + self.t * m * m
+
+
+def _draw_joint_deviations(moments: UnitMoments, alpha, rho, w, v_alpha, v_rho, gen):
     """Vectorized bivariate Normal draw of (delta_alpha_i, delta_rho_i) for
-    the every-unit-deviates variants. `resid0` is y minus the common part."""
-    n, t = resid0.shape
-    sum_l = L.sum(axis=1)
-    sum_l2 = (L * L).sum(axis=1)
-    a = 1.0 / v_alpha + w * t
-    b = w * sum_l
-    c = 1.0 / v_rho + w * sum_l2
+    the every-unit-deviates variants, on y minus the common part."""
+    a = 1.0 / v_alpha + w * moments.t
+    b = w * moments.sum_l
+    c = 1.0 / v_rho + w * moments.sum_ll
     det = a * c - b * b
-    s_a = w * resid0.sum(axis=1)
-    s_r = w * (L * resid0).sum(axis=1)
+    mean_e = moments.mean_resid(alpha, rho)
+    s_a = w * (moments.t * mean_e)
+    s_r = w * moments.lag_resid(rho, mean_e)
     mean_a = (c * s_a - b * s_r) / det
     mean_r = (a * s_r - b * s_a) / det
     # Cholesky of the 2x2 posterior covariance [[c,-b],[-b,a]]/det, closed form.
     c11 = np.sqrt(c / det)
     c21 = -b / det / c11
     c22 = np.sqrt(a / det - c21**2)
-    e1 = gen.standard_normal(n)
-    e2 = gen.standard_normal(n)
+    e1 = gen.standard_normal(w.size)
+    e2 = gen.standard_normal(w.size)
     return mean_a + c11 * e1, mean_r + c21 * e1 + c22 * e2
 
 
 def m1_sweep(y0, Y, common: CommonState, units: UnitState, config: M1Config, adapt, gen,
-             fixed_common: bool = False, adapt_enabled: bool = True) -> None:
+             fixed_common: bool = False, adapt_enabled: bool = True,
+             moments: Optional[UnitMoments] = None) -> None:
     """One full Gibbs sweep, updating `common` and `units` in place.
 
     With `fixed_common` only the per-unit indicator/deviation blocks run,
     which is the posterior used by the known-truth reference estimator.
+    `moments` are the `UnitMoments(y0, Y)` a chain builds once; without them
+    the sweep builds its own, as a chain that redraws Y every sweep needs.
     """
     hyper = config.hyper
+    m = UnitMoments(y0, Y) if moments is None else moments
     n, t = Y.shape
-    L = np.column_stack([y0, Y[:, :-1]])
     hetsk = config.heteroskedastic
     ss = config.variant in ("ss_homosk", "ss_hetsk")
     full = config.variant.startswith("full_hetero")
@@ -134,21 +177,15 @@ def m1_sweep(y0, Y, common: CommonState, units: UnitState, config: M1Config, ada
     w = 1.0 / (common.sigma2 * units.delta_sigma)
 
     if not fixed_common:
-        # Common regression coefficients.
-        y_tilde = Y - units.delta_alpha[:, None] - units.delta_rho[:, None] * L
-        sum_l = L.sum(axis=1)
-        xtx = np.array(
-            [
-                [np.sum(w) * t, np.sum(w * sum_l)],
-                [np.sum(w * sum_l), np.sum(w * (L * L).sum(axis=1))],
-            ]
-        )
+        # Common regression coefficients, on y - delta_alpha - delta_rho * L.
+        mean_e = m.mean_resid(units.delta_alpha, units.delta_rho)
+        sum_w_l = np.sum(w * m.sum_l)
+        xtx = np.array([[np.sum(w) * t, sum_w_l], [sum_w_l, np.sum(w * m.sum_ll)]])
         xty = np.array(
-            [np.sum(w * y_tilde.sum(axis=1)), np.sum(w * (L * y_tilde).sum(axis=1))]
+            [np.sum(w * (t * mean_e)), np.sum(w * m.lag_resid(units.delta_rho, mean_e))]
         )
-        prior_cov = np.diag([float(hyper.v_alpha), hyper.v_rho])
         draw, _, _ = update_common_regression(
-            np.array([float(hyper.mu_alpha), hyper.mu_rho]), prior_cov, xtx, xty, gen
+            config.coef_prior_mean, config.coef_prior_cov, xtx, xty, gen
         )
         common.alpha, common.rho = float(draw[0]), float(draw[1])
 
@@ -173,33 +210,32 @@ def m1_sweep(y0, Y, common: CommonState, units: UnitState, config: M1Config, ada
 
     if not homog:
         if full:
-            resid0 = Y - common.alpha - common.rho * L
             units.delta_alpha, units.delta_rho = _draw_joint_deviations(
-                resid0, L, w, common.v_delta_alpha, common.v_delta_rho, gen
+                m, common.alpha, common.rho, w, common.v_delta_alpha, common.v_delta_rho, gen
             )
             units.z["alpha"][:] = 1
             units.z["rho"][:] = 1
         else:
-            resid_a = Y - common.alpha - (common.rho + units.delta_rho)[:, None] * L
+            mean_e = m.mean_resid(common.alpha, common.rho + units.delta_rho)
             units.z["alpha"], units.delta_alpha = update_indicator_and_deviation_normal(
-                common.q["alpha"], common.v_delta_alpha, t * w, w * resid_a.sum(axis=1), gen
+                common.q["alpha"], common.v_delta_alpha, t * w, w * (t * mean_e), gen
             )
-            resid_r = Y - common.alpha - units.delta_alpha[:, None] - common.rho * L
+            mean_e = m.mean_resid(common.alpha + units.delta_alpha, common.rho)
             units.z["rho"], units.delta_rho = update_indicator_and_deviation_normal(
                 common.q["rho"], common.v_delta_rho,
-                w * (L * L).sum(axis=1), w * (L * resid_r).sum(axis=1), gen,
-            )
-        if hetsk:
-            resid = Y - (common.alpha + units.delta_alpha)[:, None] - (common.rho + units.delta_rho)[:, None] * L
-            ssr = (resid * resid).sum(axis=1) / common.sigma2
-            q_sigma = 1.0 if full else common.q["sigma"]
-            units.z["sigma"], units.delta_sigma = update_indicator_and_deviation_ig(
-                q_sigma, common.v_delta_sigma, ssr, np.full(n, t), gen
+                w * m.sum_ll, w * m.lag_resid(common.rho, mean_e), gen,
             )
 
+    if hetsk or not fixed_common:
+        ssr = m.ssr(common.alpha + units.delta_alpha, common.rho + units.delta_rho)
+    if hetsk:
+        q_sigma = 1.0 if full else common.q["sigma"]
+        units.z["sigma"], units.delta_sigma = update_indicator_and_deviation_ig(
+            q_sigma, common.v_delta_sigma, ssr / common.sigma2, m.n_obs, gen
+        )
+
     if not fixed_common:
-        resid = Y - (common.alpha + units.delta_alpha)[:, None] - (common.rho + units.delta_rho)[:, None] * L
-        ssr_w = float(np.sum((resid * resid).sum(axis=1) / units.delta_sigma))
+        ssr_w = float(np.sum(ssr / units.delta_sigma))
         post = InverseGammaSpec(nu=hyper.sigma2.nu + n * t, tau=hyper.sigma2.tau + ssr_w)
         common.sigma2 = float(sample_inverse_gamma(post, gen))
 
@@ -231,12 +267,14 @@ def run_m1(data: PanelData, config: M1Config, rng,
         if common.v_delta_sigma is None:
             common.v_delta_sigma = 1.0
     labels = ("alpha", "rho", "sigma") if config.heteroskedastic else ("alpha", "rho")
+    moments = UnitMoments(y0, Y)
     adapt = RwmhAdaptState()
     recorder = DrawRecorder(config.n_draws, config.burn_in, config.thin, config.store_unit_draws)
     for j in range(config.n_draws):
         m1_sweep(
             y0, Y, common, units, config, adapt, gen,
             fixed_common=fixed_common is not None, adapt_enabled=j < config.burn_in,
+            moments=moments,
         )
         if not recorder.keeps(j):
             continue

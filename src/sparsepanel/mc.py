@@ -73,6 +73,7 @@ class RiskTable:
     risks: Dict[Tuple[float, float, str, str], float]
     stderrs: Dict[Tuple[float, float, str, str], float]
     failed: Dict[Tuple[float, float, str], int]
+    cell_wall_s: Dict[Tuple[float, float], float]
     design: MCDesign
 
     def risk(self, q, v, estimator, target="alpha"):
@@ -117,6 +118,7 @@ class RiskTable:
             "failed_replications": {
                 f"q={k[0]:g},v={k[1]:g},{k[2]}": v for k, v in self.failed.items() if v
             },
+            "cell_wall_s": {f"q={k[0]:g},v={k[1]:g}": v for k, v in self.cell_wall_s.items()},
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -175,9 +177,10 @@ def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
     (cell index, replication index), so results are reproducible for any
     thread count; reduction happens in fixed replication order."""
     cells = [(q, v) for v in design.v_delta_alpha_grid for q in design.q_grid]
-    risks, stderrs, failed = {}, {}, {}
+    risks, stderrs, failed, cell_wall_s = {}, {}, {}, {}
     root = RngStream(seed=seed, stream_id=0)
     for c_idx, (q, v) in enumerate(cells):
+        start = time.perf_counter()
         theta = _cell_theta(design, q, v)
         streams = [root.substream(c_idx).substream(rep) for rep in range(design.n_sim)]
         run_one = lambda stream: _run_replication(design, theta, stream)
@@ -186,6 +189,7 @@ def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
                 results = list(pool.map(run_one, streams))
         else:
             results = [run_one(s) for s in streams]
+        cell_wall_s[(q, v)] = time.perf_counter() - start
         for est in design.estimators:
             ok = [r[est] for r in results if r[est] is not None]
             n_failed = design.n_sim - len(ok)
@@ -203,4 +207,5 @@ def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
                 )
         if progress is not None:
             progress(c_idx + 1, len(cells))
-    return RiskTable(risks=risks, stderrs=stderrs, failed=failed, design=design)
+    return RiskTable(risks=risks, stderrs=stderrs, failed=failed, cell_wall_s=cell_wall_s,
+                     design=design)

@@ -2,12 +2,24 @@
 variant, reproducibility, parameter recovery on informative data, and the
 point-estimate rules."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from sparsepanel.blocks import CommonState, HyperParams
+from m1_oracle import m1_sweep_reference
+from sparsepanel.blocks import CommonState, HyperParams, RwmhAdaptState
 from sparsepanel.chainout import ChainOutput
-from sparsepanel.m1 import ConfigurationError, M1Config, point_estimates, run_m1
+from sparsepanel.m1 import (
+    VARIANTS,
+    ConfigurationError,
+    M1Config,
+    UnitMoments,
+    init_m1_state,
+    m1_sweep,
+    point_estimates,
+    run_m1,
+)
 from sparsepanel.panel import simulate_m1
 from sparsepanel.rng import RngStream
 
@@ -25,6 +37,63 @@ def _sim(n=60, t=8, q=0.4, hetsk=True, seed=41):
     data, truth = simulate_m1(_theta(q, hetsk), HyperParams.m1_defaults(), n=n, t=t,
                               rng=RngStream(seed=seed, stream_id=0), heteroskedastic=hetsk)
     return data, truth
+
+
+def _sweep_state(config, n, fixed_common):
+    if not fixed_common:
+        return init_m1_state(n, config)
+    _, units = init_m1_state(n, config)
+    return _theta(hetsk=config.heteroskedastic), units
+
+
+@pytest.mark.parametrize("variant,fixed_common",
+                         [(v, False) for v in VARIANTS] + [("ss_homosk", True), ("ss_hetsk", True)])
+def test_sweep_matches_residual_matrix_reference(variant, fixed_common):
+    # The moments sweep and the residual-matrix sweep, from one state and one
+    # seed, must make the same draws: same random numbers, same order.
+    data, _ = _sim(n=40, t=6, seed=44)
+    y0, Y = data.y[:, 0].copy(), data.y[:, 1:].copy()
+    config = M1Config(variant=variant, n_draws=40, burn_in=20)
+    common, units = _sweep_state(config, Y.shape[0], fixed_common)
+    ref_common, ref_units = copy.deepcopy(common), copy.deepcopy(units)
+    adapt, ref_adapt = RwmhAdaptState(), RwmhAdaptState()
+    gen, ref_gen = (RngStream(seed=16, stream_id=0).generator for _ in range(2))
+    moments = UnitMoments(y0, Y)
+    for j in range(config.n_draws):
+        m1_sweep(y0, Y, common, units, config, adapt, gen, fixed_common=fixed_common,
+                 adapt_enabled=j < config.burn_in, moments=moments)
+        m1_sweep_reference(y0, Y, ref_common, ref_units, config, ref_adapt, ref_gen,
+                           fixed_common=fixed_common, adapt_enabled=j < config.burn_in)
+        for name in ("alpha", "rho", "sigma2", "v_delta_alpha", "v_delta_rho", "v_delta_sigma"):
+            np.testing.assert_allclose(getattr(common, name) or 0.0,
+                                       getattr(ref_common, name) or 0.0, rtol=1e-10)
+        for label in ("alpha", "rho", "sigma"):
+            np.testing.assert_allclose(common.q[label], ref_common.q[label], rtol=1e-10)
+            np.testing.assert_array_equal(units.z[label], ref_units.z[label])
+            np.testing.assert_allclose(getattr(units, "delta_" + label),
+                                       getattr(ref_units, "delta_" + label), rtol=1e-10)
+        assert adapt.log_step == pytest.approx(ref_adapt.log_step, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_unit_moments_match_explicit_residual_sums(shift):
+    # Centred moments keep ssr accurate on a panel far from zero, where the
+    # uncentred sum_y^2 - 2 ... form loses about 13 digits to cancellation.
+    data, truth = _sim(n=50, t=8, seed=45)
+    y = data.y + shift
+    y0, Y = y[:, 0], y[:, 1:]
+    L = np.column_stack([y0, Y[:, :-1]])
+    moments = UnitMoments(y0, Y)
+    rho_i = 0.6 + truth.delta_rho
+    alpha_i = 1.0 + truth.delta_alpha + shift * (1.0 - rho_i)  # near each unit's fit
+    for a, r in ((alpha_i, rho_i), (alpha_i + 0.3, rho_i - 0.05), (1.0 + 0.4 * shift, 0.6)):
+        resid = Y - np.reshape(a, (-1, 1)) - np.reshape(r, (-1, 1)) * L
+        np.testing.assert_allclose(moments.ssr(a, r), (resid**2).sum(axis=1), rtol=1e-8)
+        mean_e = moments.mean_resid(a, r)
+        np.testing.assert_allclose(moments.t * mean_e, resid.sum(axis=1),
+                                   rtol=0, atol=1e-8 * np.abs(resid).sum(axis=1).max())
+        np.testing.assert_allclose(moments.lag_resid(r, mean_e), (L * resid).sum(axis=1),
+                                   rtol=0, atol=1e-8 * (np.abs(L) * np.abs(resid)).sum(axis=1).max())
 
 
 def test_config_validation():

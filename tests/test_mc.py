@@ -93,3 +93,5 @@ def test_risk_table_accessors_and_write(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["n_sim"] == 3
     assert manifest["estimators"] == ["ss", "q0", "oracle"]
+    assert list(manifest["cell_wall_s"]) == ["q=0.4,v=0.5"]
+    assert all(s > 0 for s in manifest["cell_wall_s"].values())
