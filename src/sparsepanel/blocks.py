@@ -3,7 +3,11 @@
 Each update draws one block of a Gibbs sweep from its exact conditional.
 Indicator/deviation blocks are vectorized across units; all posterior odds
 are computed in log space so large T cannot overflow the Gamma-function
-ratios.
+ratios. A block draws for one chain when `rng` is one stream, and for R
+replications at once when it is a list of R generators (`rng.draw_each`):
+parameters are then (R,), or (R, 1) where they meet (R, N) unit arrays,
+every reduction over units runs per replication, and each replication draws
+from its own generator exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ from sparsepanel.distributions import (
     expit,
     log_ndtr,
     sample_beta,
-    sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mv_normal,
     sample_truncated_normal,
 )
-from sparsepanel.rng import as_generator
+from sparsepanel.rng import draw_each
 
 
 @dataclass
@@ -126,21 +129,28 @@ class UnitState:
 class RwmhAdaptState:
     """Step-size adaptation bookkeeping for the random-walk variance update."""
 
-    log_step: float = 0.0
+    log_step: Union[float, np.ndarray] = 0.0
     iteration: int = 0
     target_accept: float = 0.44
     exponent_p: float = 0.55
     cap: float = 10.0
-    accepted: int = 0
+    accepted: Union[int, np.ndarray] = 0
     proposed: int = 0
 
     @property
-    def step(self) -> float:
-        return float(np.exp(self.log_step))
+    def step(self):
+        return np.exp(self.log_step)
 
     @property
-    def acceptance_rate(self) -> float:
+    def acceptance_rate(self):
         return self.accepted / self.proposed if self.proposed else float("nan")
+
+
+def _lgamma(x):
+    """math.lgamma of a float, or of each element of an array."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return math.lgamma(x)
 
 
 def update_common_regression(prior_mean, prior_cov, xtx, xty, rng):
@@ -151,34 +161,25 @@ def update_common_regression(prior_mean, prior_cov, xtx, xty, rng):
     draw comes from the prior. With a leading batch axis, xtx (B, k, k) and
     xty (B, k), it draws B independent blocks under the one prior.
     """
-    prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
-    prior_cov = np.atleast_2d(np.asarray(prior_cov, dtype=float))
-    xtx = np.atleast_2d(np.asarray(xtx, dtype=float))
-    xty = np.atleast_1d(np.asarray(xty, dtype=float))
     prior_prec = _inv(prior_cov)
     post_cov = _inv(prior_prec + xtx)
-    if post_cov.ndim == 3:
-        post_cov = 0.5 * (post_cov + post_cov.swapaxes(1, 2))
-        post_mean = (post_cov @ (prior_prec @ prior_mean + xty)[:, :, None])[:, :, 0]
-    else:
-        post_cov = 0.5 * (post_cov + post_cov.T)
-        post_mean = post_cov @ (prior_prec @ prior_mean + xty)
+    post_cov = 0.5 * (post_cov + post_cov.swapaxes(-1, -2))
+    post_mean = (post_cov @ (prior_prec @ prior_mean + xty)[..., None])[..., 0]
     draw = sample_mv_normal(post_mean, post_cov, rng)
     return draw, post_mean, post_cov
 
 
-def update_q(z, a, b, rng) -> float:
-    z = np.asarray(z)
-    psi = int(z.sum())
-    return float(sample_beta(a + psi, b + z.size - psi, rng))
+def update_q(z, a, b, rng):
+    """Beta(a + psi, b + N - psi) inclusion probability, psi = number of active units."""
+    n = z.shape[-1]
+    return draw_each(rng, lambda gen, psi: sample_beta(a + psi, b + n - psi, gen), z.sum(axis=-1).tolist())
 
 
-def update_v_delta_normal(z, deltas, spec: InverseGammaSpec, rng) -> float:
-    """Variance of the Normal slab given the active deviations."""
-    z = np.asarray(z, dtype=bool)
-    deltas = np.asarray(deltas, dtype=float)
-    post = InverseGammaSpec(nu=spec.nu + z.sum(), tau=spec.tau + float(np.sum(deltas[z] ** 2)))
-    return float(sample_inverse_gamma(post, rng))
+def update_v_delta_normal(z, deltas, spec: InverseGammaSpec, rng):
+    """Variance of the Normal slab given the active deltas (those with z == 1):
+    IG(nu/2, tau/2), drawn as `sample_inverse_gamma` draws it."""
+    return draw_each(rng, lambda gen, nu, tau: 1.0 / gen.gamma(nu / 2.0, 2.0 / tau),
+                     spec.nu + z.sum(axis=-1), spec.tau + (z * (deltas * deltas)).sum(axis=-1))
 
 
 def update_v_delta_alpha_iw(z, deltas, spec: InverseWishartSpec, rng) -> np.ndarray:
@@ -188,19 +189,18 @@ def update_v_delta_alpha_iw(z, deltas, spec: InverseWishartSpec, rng) -> np.ndar
     return sample_inverse_wishart(spec.dof + active.shape[0], spec.scale + active.T @ active, rng)
 
 
-def _log_odds_prior(q: float) -> float:
-    if q <= 0.0:
-        return -np.inf
-    if q >= 1.0:
-        return np.inf
-    return float(np.log(q) - np.log1p(-q))
+def _log_odds_prior(q):
+    """log(q / (1 - q)) of a float or an array: -inf at q = 0, +inf at q = 1."""
+    if isinstance(q, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.log(q) - np.log1p(-q)
+    return np.log(q) - np.log1p(-q) if 0.0 < q < 1.0 else math.copysign(math.inf, q - 0.5)
 
 
 def _draw_indicators(log_k, rng):
     """Bernoulli draws from log posterior odds, robust at +-inf."""
-    gen = as_generator(rng)
-    p = expit(log_k)
-    return (gen.random(size=np.shape(log_k)) < p).astype(np.int64)
+    n = log_k.shape[-1]
+    return (draw_each(rng, lambda gen: gen.random(n)) < expit(log_k)).astype(np.int64)
 
 
 def update_indicator_and_deviation_normal(q, v_delta, precision, score, rng):
@@ -208,90 +208,83 @@ def update_indicator_and_deviation_normal(q, v_delta, precision, score, rng):
 
     `precision[i]` is the data precision sum(x^2/sigma^2) and `score[i]` the
     matching sum(x * resid / sigma^2), both computed with the unit's own
-    residuals holding every other parameter fixed.
+    residuals holding every other parameter fixed. Batched, `q` and `v_delta`
+    are (R, 1) (or scalars).
     """
-    precision = np.asarray(precision, dtype=float)
-    score = np.asarray(score, dtype=float)
     v_bar = 1.0 / (1.0 / v_delta + precision)
     delta_bar = v_bar * score
     log_k = _log_odds_prior(q) - 0.5 * (np.log(v_delta) - np.log(v_bar)) + delta_bar**2 / (2.0 * v_bar)
     z = _draw_indicators(log_k, rng)
-    gen = as_generator(rng)
-    delta = np.where(z == 1, delta_bar + np.sqrt(v_bar) * gen.standard_normal(precision.shape), 0.0)
-    return z, delta
+    noise = draw_each(rng, lambda gen: gen.standard_normal(log_k.shape[-1]))
+    return z, np.where(z == 1, delta_bar + np.sqrt(v_bar) * noise, 0.0)
 
 
 def update_indicator_and_deviation_ig(q, v_delta_sigma, weighted_ssr, n_obs, rng):
     """Spike/slab indicator and inverse-gamma variance deviation for each unit.
 
     `weighted_ssr[i]` is sum over t of resid^2 / (period variance) evaluated at
-    the spike value delta = 1; `n_obs[i]` is the unit's observation count.
+    the spike value delta = 1; `n_obs` holds the units' observation counts,
+    or is one count that every unit shares. Batched, `q` and `v_delta_sigma`
+    are (R, 1) (or scalars) and `n_obs` is shared by the replications.
     """
-    weighted_ssr = np.asarray(weighted_ssr, dtype=float)
-    counts = np.asarray(n_obs, dtype=np.intp)
+    counts = np.asarray(n_obs)
     inv_v = 1.0 / v_delta_sigma
     a = inv_v + 2.0  # the slab is IG(a, a - 1)
     half_nu = (2.0 * inv_v + 4.0 + counts) / 2.0
     tau_bar = 2.0 * inv_v + 2.0 + weighted_ssr
     # lgamma(half_nu) = lgamma(a + n/2), from a table over the few distinct counts
-    lgamma_post = np.array([math.lgamma(a + 0.5 * k) for k in range(int(counts.max()) + 1)])
-    unit_free = _log_odds_prior(q) - math.lgamma(a) + a * math.log(inv_v + 1.0)
-    log_k = unit_free + lgamma_post[counts] - half_nu * np.log(tau_bar / 2.0) + weighted_ssr / 2.0
+    if counts.ndim:
+        lgamma_post = _lgamma(a + 0.5 * np.arange(int(counts.max()) + 1))[..., counts]
+    else:
+        lgamma_post = _lgamma(a + 0.5 * int(counts))
+    unit_free = _log_odds_prior(q) - _lgamma(a) + a * np.log(inv_v + 1.0)
+    log_k = unit_free + lgamma_post - half_nu * np.log(tau_bar / 2.0) + weighted_ssr / 2.0
     z = _draw_indicators(log_k, rng)
-    gen = as_generator(rng)
     # IG(half_nu, tau_bar/2) via reciprocal Gamma, drawn for every unit then masked.
-    g = gen.gamma(shape=half_nu, scale=2.0 / tau_bar)
-    delta_sigma = np.where(z == 1, 1.0 / g, 1.0)
-    return z, delta_sigma
+    g = draw_each(rng, lambda gen, shape, scale: gen.gamma(shape, scale), half_nu, 2.0 / tau_bar)
+    return z, np.where(z == 1, 1.0 / g, 1.0)
 
 
-def log_posterior_slab_variance(omega: float, active_deltas, prior: InverseGammaSpec) -> float:
-    """Unnormalized log conditional of the IG-slab variance hyperparameter."""
-    if omega <= 0.0:
-        return -np.inf
-    active_deltas = np.asarray(active_deltas, dtype=float)
-    psi = active_deltas.size
+def log_posterior_slab_variance(omega: float, psi, total, prior: InverseGammaSpec) -> float:
+    """Unnormalized log conditional of the IG-slab variance omega > 0, given
+    psi active deviations d whose sum of log(d) + 1/d is `total`."""
     inv = 1.0 / omega
-    value = (
+    return float(
         psi * (inv + 2.0) * np.log(inv + 1.0)
         - psi * math.lgamma(inv + 2.0)
         - (prior.nu / 2.0 + 1.0) * np.log(omega)
-        - inv * (float(np.sum(np.log(active_deltas) + 1.0 / active_deltas)) + prior.tau / 2.0)
+        - inv * (total + prior.tau / 2.0)
     )
-    return float(value)
 
 
-def update_v_delta_sigma_rwmh(
-    omega: float,
-    active_deltas,
-    prior: InverseGammaSpec,
-    adapt: RwmhAdaptState,
-    rng,
-    adapt_enabled: bool = True,
-):
-    """One Metropolis-Hastings step on the IG-slab variance, positive-support proposal.
+def update_v_delta_sigma_rwmh(omega, z, deltas, prior: InverseGammaSpec, adapt: RwmhAdaptState,
+                              rng, adapt_enabled: bool = True):
+    """One Metropolis-Hastings step on the IG-slab variance, positive-support proposal,
+    given the deltas of the active units (z == 1).
 
     The proposal is a zero-truncated Normal centered at the current value; the
     acceptance ratio carries the truncation correction ln Phi(prop/c) - ln Phi(cur/c).
     When adaptation is enabled, the log step size moves toward the target
     acceptance rate with a decaying gain, clipped at +-cap.
     """
-    gen = as_generator(rng)
-    c = adapt.step
-    proposal = float(sample_truncated_normal(TruncatedNormalSpec(center=omega, lower_bound=0.0, scale=c), gen))
-    lp_prop = log_posterior_slab_variance(proposal, active_deltas, prior)
-    lp_cur = log_posterior_slab_variance(omega, active_deltas, prior)
-    if np.isfinite(lp_prop):
-        log_accept = (lp_prop - lp_cur) - (log_ndtr(proposal / c) - log_ndtr(omega / c))
-        accept_prob = float(min(1.0, np.exp(min(log_accept, 0.0))))
-    else:
+
+    def step(gen, omega, c, psi, total):
+        proposal = float(sample_truncated_normal(TruncatedNormalSpec(center=omega, lower_bound=0.0, scale=c), gen))
+        lp_prop = log_posterior_slab_variance(proposal, psi, total, prior)
         accept_prob = 0.0
-    accepted = gen.random() < accept_prob
-    new_omega = proposal if accepted else omega
+        if np.isfinite(lp_prop):
+            log_accept = ((lp_prop - log_posterior_slab_variance(omega, psi, total, prior))
+                          - (log_ndtr(proposal / c) - log_ndtr(omega / c)))
+            accept_prob = float(min(1.0, np.exp(min(log_accept, 0.0))))
+        accepted = gen.random() < accept_prob
+        return (proposal if accepted else omega), accept_prob, float(accepted)
+
+    psi, total = z.sum(axis=-1).tolist(), (z * (np.log(deltas) + 1.0 / deltas)).sum(axis=-1).tolist()
+    omega, accept_prob, accepted = np.transpose(draw_each(rng, step, omega, adapt.step, psi, total))
     adapt.iteration += 1
     adapt.proposed += 1
-    adapt.accepted += int(accepted)
+    adapt.accepted = adapt.accepted + accepted.astype(np.int64)
     if adapt_enabled:
         raw = adapt.log_step + adapt.iteration ** (-adapt.exponent_p) * (accept_prob - adapt.target_accept)
-        adapt.log_step = float(np.sign(raw) * min(abs(raw), adapt.cap))
-    return float(new_omega), adapt
+        adapt.log_step = np.sign(raw) * np.minimum(np.abs(raw), adapt.cap)
+    return omega, adapt

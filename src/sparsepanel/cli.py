@@ -296,7 +296,9 @@ def _cmd_montecarlo(rc: RunConfig) -> Dict:
     n_cells = len(design.q_grid) * len(design.v_delta_alpha_grid)
     table = run_experiment(
         design, seed=rc.seed, threads=rc.threads,
-        progress=lambda done, total: _progress(f"cell {done}/{total} done"),
+        progress=lambda done, total, wall_s: _progress(
+            f"cell {done}/{total} done in {wall_s:.2f} s: {len(design.estimators)} chains x {design.n_sim} "
+            f"replications, {len(design.estimators) * design.n_sim * design.n_draws / wall_s:,.0f} sweeps/s"),
     )
     out = Path(rc.out)
     table.write(out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsepanel.rng import as_generator
+from sparsepanel.rng import as_generator, draw_each
 
 
 class ParameterDomainError(ValueError):
@@ -148,9 +148,14 @@ def _cholesky(cov: np.ndarray, bump: float):
 
 
 def _inv(m: np.ndarray) -> np.ndarray:
-    """Matrix inverse; the closed form for a nonsingular k <= 2, LAPACK otherwise
-    and for a batch (B, k, k), which takes one LAPACK call."""
+    """Matrix inverse; the closed form for a nonsingular k <= 2, LAPACK otherwise.
+    A batch (B, k, k) takes one LAPACK call, or for k = 2 the same closed form."""
     if m.ndim == 3:
+        if m.shape[1:] == (2, 2):
+            a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+            det = a * d - b * c
+            if det.all():
+                return np.stack([d / det, -b / det, -c / det, a / det], axis=-1).reshape(-1, 2, 2)
         return np.linalg.inv(m)
     k = m.shape[0]
     if k == 1 and m[0, 0] != 0:
@@ -274,13 +279,14 @@ def sample_mv_normal(mean, cov, rng, size=None):
 
     With a leading batch axis, mean (B, k) and cov (B, k, k), it returns one
     draw per element, (B, k), consuming the generator as a loop of single
-    draws over the elements would; `size` applies to single draws only.
+    draws over the elements would, or each element's own from a list of B
+    (`rng.draw_each`); `size` applies to single draws only.
     """
-    gen = as_generator(rng)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if cov.ndim == 3 and size is None:
-        return _sample_mv_normal_batch(mean, cov, gen)
+        return _sample_mv_normal_batch(mean, cov, rng)
+    gen = as_generator(rng)
     if cov.shape != (mean.size, mean.size):
         raise MatrixDomainError(f"cov shape {cov.shape} does not match mean length {mean.size}")
     if not np.count_nonzero(cov):
@@ -293,20 +299,26 @@ def sample_mv_normal(mean, cov, rng, size=None):
     return mean + z @ chol.T
 
 
-def _sample_mv_normal_batch(mean, cov, gen):
+def _sample_mv_normal_batch(mean, cov, rng):
     if cov.shape != mean.shape + mean.shape[-1:]:
         raise MatrixDomainError(f"cov shape {cov.shape} does not match mean shape {mean.shape}")
     # One LAPACK factorisation for the batch. An element that is not exactly
-    # symmetric and positive definite (all-zero, or in need of jitter) sends
-    # the batch through single draws, element by element.
+    # symmetric and positive definite (all-zero, in need of jitter, or not
+    # finite) sends the batch through single draws, element by element, which
+    # draw as the batch does. Given its own generator, a non-finite element
+    # draws NaN: a replication that went non-finite fails alone.
     try:
         chol = np.linalg.cholesky(cov) if (cov == cov.swapaxes(1, 2)).all() else None
     except np.linalg.LinAlgError:
         chol = None
-    if chol is None:
-        draws = [sample_mv_normal(m, c, gen) for m, c in zip(mean, cov)]
-        return np.array(draws).reshape(mean.shape)
-    return mean + (chol @ gen.standard_normal(mean.shape)[:, :, None])[:, :, 0]
+    if chol is not None:
+        z = draw_each(rng, lambda gen, m: gen.standard_normal(m.shape), mean)
+        return mean + (chol @ z[:, :, None])[:, :, 0]
+    own = isinstance(rng, list)
+    gens = rng if own else [as_generator(rng)] * len(mean)
+    draws = [m * np.nan if own and not np.isfinite(c).all() else sample_mv_normal(m, c, gen)
+             for m, c, gen in zip(mean, cov, gens)]
+    return np.array(draws).reshape(mean.shape)
 
 
 def sample_inverse_wishart(dof: float, scale: np.ndarray, rng, size=None):

@@ -11,7 +11,7 @@ unit-specific variance discrepancies ("ss_hetsk"), all-common coefficients
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,9 +29,8 @@ from sparsepanel.blocks import (
     update_v_delta_sigma_rwmh,
 )
 from sparsepanel.chainout import ChainOutput, ConfigurationError, DrawRecorder, check_chain_lengths
-from sparsepanel.distributions import InverseGammaSpec, sample_inverse_gamma
 from sparsepanel.panel import PanelData
-from sparsepanel.rng import as_generator
+from sparsepanel.rng import as_generator, draw_each
 
 VARIANTS = ("ss_homosk", "ss_hetsk", "homogeneous", "full_hetero_homosk", "full_hetero_hetsk")
 
@@ -69,33 +68,43 @@ class M1Config:
         return {"homogeneous": 0.0, "full_hetero_homosk": 1.0, "full_hetero_hetsk": 1.0}.get(self.variant)
 
 
-def init_m1_state(n: int, config: M1Config):
-    """Common parameters at prior means; every unit starts at the spike."""
-    hyper = config.hyper
-    q0 = config.pinned_q
-    if q0 is None:
-        q0 = hyper.a / (hyper.a + hyper.b)
-    common = CommonState(
-        alpha=float(hyper.mu_alpha),
-        rho=float(hyper.mu_rho),
-        sigma2=hyper.sigma2.mean,
-        q={"alpha": q0, "rho": q0, "sigma": q0 if config.heteroskedastic else 0.0},
-        v_delta_alpha=hyper.v_delta_alpha.mean,
-        v_delta_rho=hyper.v_delta_rho.mean,
-        v_delta_sigma=hyper.v_delta_sigma.mean if config.heteroskedastic else None,
-    )
+def init_m1_state(shape, config: M1Config, theta: Optional[CommonState] = None):
+    """First state for unit arrays of `shape`, N or (R, N) with (R,) common parameters:
+    these at `theta` (held there by the known-truth reference estimator) or at
+    their prior means, and every unit at the spike (the slab in full_hetero)."""
+    shape = tuple(np.atleast_1d(shape))
+    hyper, hetsk = config.hyper, config.heteroskedastic
+    if theta is None:
+        q0 = config.pinned_q
+        if q0 is None:
+            q0 = hyper.a / (hyper.a + hyper.b)
+        theta = CommonState(
+            alpha=float(hyper.mu_alpha), rho=float(hyper.mu_rho), sigma2=hyper.sigma2.mean,
+            q={"alpha": q0, "rho": q0, "sigma": q0 if hetsk else 0.0},
+            v_delta_alpha=hyper.v_delta_alpha.mean, v_delta_rho=hyper.v_delta_rho.mean,
+            v_delta_sigma=hyper.v_delta_sigma.mean if hetsk else None,
+        )
+
+    def fill(value):  # v_delta_sigma of a homoskedastic theta is None; it is never used
+        return np.full(shape[:-1], 1.0 if value is None else value)[()]
+
+    common = CommonState(q={label: fill(value) for label, value in theta.q.items()},
+                         **{name: fill(getattr(theta, name)) for name in (
+                             "alpha", "rho", "sigma2", "v_delta_alpha", "v_delta_rho", "v_delta_sigma")})
     z_init = 1 if config.variant.startswith("full_hetero") else 0
     units = UnitState(
-        z={
-            "alpha": np.full(n, z_init, dtype=np.int64),
-            "rho": np.full(n, z_init, dtype=np.int64),
-            "sigma": np.full(n, z_init if config.heteroskedastic else 0, dtype=np.int64),
-        },
-        delta_alpha=np.zeros(n),
-        delta_rho=np.zeros(n),
-        delta_sigma=np.ones(n),
+        z={label: np.full(shape, z_init if hetsk or label != "sigma" else 0, dtype=np.int64)
+           for label in ("alpha", "rho", "sigma")},
+        delta_alpha=np.zeros(shape),
+        delta_rho=np.zeros(shape),
+        delta_sigma=np.ones(shape),
     )
     return common, units
+
+
+def per_unit(x):
+    """A common parameter, scalar or (R,), shaped to broadcast against unit arrays."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
 
 
 class UnitMoments:
@@ -105,24 +114,24 @@ class UnitMoments:
     blocks need only sum_t e_it, sum_t L_it e_it and sum_t e_it^2. These come
     from the unit means of L and y and their centred cross products, which
     stay accurate on panels far from zero, where uncentred sums cancel.
+    `y0` and `Y` may carry a leading replication axis, (R, N) and (R, N, T).
     """
 
     def __init__(self, y0, Y):
-        L = np.column_stack([y0, Y[:, :-1]])
-        n, self.t = Y.shape
-        self.n_obs = np.full(n, self.t)
-        self.sum_l = L.sum(axis=1)
-        self.sum_ll = (L * L).sum(axis=1)
+        L = np.concatenate([y0[..., None], Y[..., :-1]], axis=-1)
+        self.t = Y.shape[-1]
+        self.sum_l = L.sum(axis=-1)
+        self.sum_ll = (L * L).sum(axis=-1)
         self.mean_l = self.sum_l / self.t
-        self.mean_y = Y.mean(axis=1)
-        dl = L - self.mean_l[:, None]
-        dy = Y - self.mean_y[:, None]
-        self.c_ll = (dl * dl).sum(axis=1)
-        self.c_ly = (dl * dy).sum(axis=1)
-        self.c_yy = (dy * dy).sum(axis=1)
+        self.mean_y = Y.mean(axis=-1)
+        dl = L - self.mean_l[..., None]
+        dy = Y - self.mean_y[..., None]
+        self.c_ll = (dl * dl).sum(axis=-1)
+        self.c_ly = (dl * dy).sum(axis=-1)
+        self.c_yy = (dy * dy).sum(axis=-1)
 
     def mean_resid(self, a, r):
-        """Unit means of e_it; `a` and `r` are scalars or per-unit arrays."""
+        """Unit means of e_it; `a` and `r` are per-unit arrays or `per_unit` parameters."""
         return self.mean_y - a - r * self.mean_l
 
     def lag_resid(self, r, mean_resid):
@@ -151,8 +160,7 @@ def _draw_joint_deviations(moments: UnitMoments, alpha, rho, w, v_alpha, v_rho, 
     c11 = np.sqrt(c / det)
     c21 = -b / det / c11
     c22 = np.sqrt(a / det - c21**2)
-    e1 = gen.standard_normal(w.size)
-    e2 = gen.standard_normal(w.size)
+    e1, e2 = np.moveaxis(draw_each(gen, lambda g: g.standard_normal((2, w.shape[-1]))), -2, 0)
     return mean_a + c11 * e1, mean_r + c21 * e1 + c22 * e2
 
 
@@ -161,33 +169,37 @@ def m1_sweep(y0, Y, common: CommonState, units: UnitState, config: M1Config, ada
              moments: Optional[UnitMoments] = None) -> None:
     """One full Gibbs sweep, updating `common` and `units` in place.
 
+    With a list of R generators it sweeps R replications at once (see
+    `blocks`): common parameters and `adapt.log_step` are (R,), unit arrays
+    (R, N), and `y0` and `Y` stack the panels, (R*N,) and (R*N, T).
     With `fixed_common` only the per-unit indicator/deviation blocks run,
     which is the posterior used by the known-truth reference estimator.
-    `moments` are the `UnitMoments(y0, Y)` a chain builds once; without them
+    `moments` are the `UnitMoments` a chain builds once; without them
     the sweep builds its own, as a chain that redraws Y every sweep needs.
     """
     hyper = config.hyper
-    m = UnitMoments(y0, Y) if moments is None else moments
-    n, t = Y.shape
+    shape = units.delta_alpha.shape
+    m = UnitMoments(np.reshape(y0, shape), np.reshape(Y, shape + (-1,))) if moments is None else moments
+    t = m.t
     hetsk = config.heteroskedastic
     ss = config.variant in ("ss_homosk", "ss_hetsk")
     full = config.variant.startswith("full_hetero")
     homog = config.variant == "homogeneous"
 
-    w = 1.0 / (common.sigma2 * units.delta_sigma)
+    w = 1.0 / (per_unit(common.sigma2) * units.delta_sigma)
 
     if not fixed_common:
         # Common regression coefficients, on y - delta_alpha - delta_rho * L.
         mean_e = m.mean_resid(units.delta_alpha, units.delta_rho)
-        sum_w_l = np.sum(w * m.sum_l)
-        xtx = np.array([[np.sum(w) * t, sum_w_l], [sum_w_l, np.sum(w * m.sum_ll)]])
-        xty = np.array(
-            [np.sum(w * (t * mean_e)), np.sum(w * m.lag_resid(units.delta_rho, mean_e))]
-        )
+        sum_w_l = (w * m.sum_l).sum(axis=-1)
+        # built with the replication axis last; .T moves it first, and a symmetric 2x2 stays
+        xtx = np.array([[w.sum(axis=-1) * t, sum_w_l], [sum_w_l, (w * m.sum_ll).sum(axis=-1)]]).T
+        xty = np.array([(w * (t * mean_e)).sum(axis=-1),
+                        (w * m.lag_resid(units.delta_rho, mean_e)).sum(axis=-1)]).T
         draw, _, _ = update_common_regression(
             config.coef_prior_mean, config.coef_prior_cov, xtx, xty, gen
         )
-        common.alpha, common.rho = float(draw[0]), float(draw[1])
+        common.alpha, common.rho = draw.T
 
         if ss:
             common.q["alpha"] = update_q(units.z["alpha"], hyper.a, hyper.b, gen)
@@ -202,42 +214,43 @@ def m1_sweep(y0, Y, common: CommonState, units: UnitState, config: M1Config, ada
                 units.z["rho"], units.delta_rho, hyper.v_delta_rho, gen
             )
             if hetsk:
-                active = units.delta_sigma[units.z["sigma"] == 1]
                 common.v_delta_sigma, _ = update_v_delta_sigma_rwmh(
-                    common.v_delta_sigma, active, hyper.v_delta_sigma, adapt, gen,
-                    adapt_enabled=adapt_enabled,
+                    common.v_delta_sigma, units.z["sigma"], units.delta_sigma,
+                    hyper.v_delta_sigma, adapt, gen, adapt_enabled=adapt_enabled,
                 )
 
+    alpha, rho = per_unit(common.alpha), per_unit(common.rho)
     if not homog:
         if full:
             units.delta_alpha, units.delta_rho = _draw_joint_deviations(
-                m, common.alpha, common.rho, w, common.v_delta_alpha, common.v_delta_rho, gen
+                m, alpha, rho, w, per_unit(common.v_delta_alpha), per_unit(common.v_delta_rho), gen
             )
             units.z["alpha"][:] = 1
             units.z["rho"][:] = 1
         else:
-            mean_e = m.mean_resid(common.alpha, common.rho + units.delta_rho)
+            mean_e = m.mean_resid(alpha, rho + units.delta_rho)
             units.z["alpha"], units.delta_alpha = update_indicator_and_deviation_normal(
-                common.q["alpha"], common.v_delta_alpha, t * w, w * (t * mean_e), gen
+                per_unit(common.q["alpha"]), per_unit(common.v_delta_alpha), t * w, w * (t * mean_e), gen
             )
-            mean_e = m.mean_resid(common.alpha + units.delta_alpha, common.rho)
+            mean_e = m.mean_resid(alpha + units.delta_alpha, rho)
             units.z["rho"], units.delta_rho = update_indicator_and_deviation_normal(
-                common.q["rho"], common.v_delta_rho,
-                w * m.sum_ll, w * m.lag_resid(common.rho, mean_e), gen,
+                per_unit(common.q["rho"]), per_unit(common.v_delta_rho),
+                w * m.sum_ll, w * m.lag_resid(rho, mean_e), gen,
             )
 
     if hetsk or not fixed_common:
-        ssr = m.ssr(common.alpha + units.delta_alpha, common.rho + units.delta_rho)
+        ssr = m.ssr(alpha + units.delta_alpha, rho + units.delta_rho)
     if hetsk:
-        q_sigma = 1.0 if full else common.q["sigma"]
+        q_sigma = 1.0 if full else per_unit(common.q["sigma"])
         units.z["sigma"], units.delta_sigma = update_indicator_and_deviation_ig(
-            q_sigma, common.v_delta_sigma, ssr / common.sigma2, m.n_obs, gen
+            q_sigma, per_unit(common.v_delta_sigma), ssr / per_unit(common.sigma2), t, gen
         )
 
     if not fixed_common:
-        ssr_w = float(np.sum(ssr / units.delta_sigma))
-        post = InverseGammaSpec(nu=hyper.sigma2.nu + n * t, tau=hyper.sigma2.tau + ssr_w)
-        common.sigma2 = float(sample_inverse_gamma(post, gen))
+        # IG(nu/2, tau/2), drawn as `sample_inverse_gamma` draws it
+        nu = hyper.sigma2.nu + shape[-1] * t
+        common.sigma2 = draw_each(gen, lambda g, tau: 1.0 / g.gamma(nu / 2.0, 2.0 / tau),
+                                  hyper.sigma2.tau + (ssr / units.delta_sigma).sum(axis=-1))
 
 
 def _extract_arrays(data: PanelData):
@@ -245,34 +258,37 @@ def _extract_arrays(data: PanelData):
         raise ConfigurationError("estimation requires a fully observed panel")
     if data.n_periods < 3:
         raise ConfigurationError("need at least 3 periods (T >= 2)")
-    y0 = data.y[:, 0].copy()
-    Y = data.y[:, 1:].copy()
-    return y0, Y
+    return data.y[:, 0], data.y[:, 1:]
 
 
-def run_m1(data: PanelData, config: M1Config, rng,
+def run_m1(data, config: M1Config, rng,
            fixed_common: Optional[CommonState] = None) -> ChainOutput:
     """Run the Gibbs sampler and record its post-burn-in, thinned draws.
 
+    `data` and `rng` may be lists of R panels of one shape and their streams:
+    the replications then run as one chain, common draws (kept, R) and unit
+    means (R, N), each consuming its stream as a chain on its panel alone does.
     `fixed_common` holds the shared parameters at the given values and updates
     only the per-unit blocks (known-truth reference posterior).
     """
-    gen = as_generator(rng)
-    y0, Y = _extract_arrays(data)
-    n, t = Y.shape
-    common, units = init_m1_state(n, config)
-    if fixed_common is not None:
-        common = replace(fixed_common)
-        common.q = dict(fixed_common.q)
-        if common.v_delta_sigma is None:
-            common.v_delta_sigma = 1.0
+    if isinstance(data, list):
+        gen = [as_generator(r) for r in rng]
+        y0, Y = (np.stack(arrays) for arrays in zip(*map(_extract_arrays, data)))
+        unit_ids = data[0].unit_ids
+    else:
+        gen = as_generator(rng)
+        y0, Y = _extract_arrays(data)
+        unit_ids = data.unit_ids
+    common, units = init_m1_state(y0.shape, config, fixed_common)
     labels = ("alpha", "rho", "sigma") if config.heteroskedastic else ("alpha", "rho")
     moments = UnitMoments(y0, Y)
-    adapt = RwmhAdaptState()
+    adapt = RwmhAdaptState(log_step=np.zeros(y0.shape[:-1])[()])
     recorder = DrawRecorder(config.n_draws, config.burn_in, config.thin, config.store_unit_draws)
+    # the sweep takes the replications' panels stacked: (R*N,) and (R*N, T)
+    y0_flat, Y_flat = y0.reshape(-1), Y.reshape(-1, Y.shape[-1])
     for j in range(config.n_draws):
         m1_sweep(
-            y0, Y, common, units, config, adapt, gen,
+            y0_flat, Y_flat, common, units, config, adapt, gen,
             fixed_common=fixed_common is not None, adapt_enabled=j < config.burn_in,
             moments=moments,
         )
@@ -286,48 +302,15 @@ def run_m1(data: PanelData, config: M1Config, rng,
         for label in ("alpha", "rho", "sigma"):
             unit["delta_" + label] = getattr(units, "delta_" + label)
             unit["z_" + label] = units.z[label]
-        recorder.record(draw, unit, means_only={"alpha_i": common.alpha + units.delta_alpha,
-                                                "rho_i": common.rho + units.delta_rho,
-                                                "sigma2_i": common.sigma2 * units.delta_sigma})
+        recorder.record(draw, unit, means_only={
+            "alpha_i": per_unit(common.alpha) + units.delta_alpha,
+            "rho_i": per_unit(common.rho) + units.delta_rho,
+            "sigma2_i": per_unit(common.sigma2) * units.delta_sigma})
     return recorder.output(
         {"model": "m1", "variant": config.variant},
         diagnostics={
             "rwmh_acceptance": adapt.acceptance_rate if config.heteroskedastic else float("nan"),
             "rwmh_step": adapt.step,
         },
-        unit_ids=data.unit_ids,
+        unit_ids=unit_ids,
     )
-
-
-def point_estimates(chain: ChainOutput, rule: str = "mean", threshold: float = 0.8):
-    """Per-unit point estimates of the composite coefficients.
-
-    Rules: "mean" (posterior means), "median" (plain medians of the composite
-    draws), "median_with_spike_adjust" (deviation set to its spike value when
-    the spike share of draws exceeds `threshold`).
-    """
-    if chain.n_draws == 0:
-        raise ValueError("empty chain")
-    if rule == "mean":
-        return {k: chain.unit_means[k].copy() for k in ("alpha_i", "rho_i", "sigma2_i")}
-    if not chain.unit:
-        raise ValueError(f"rule {rule!r} needs stored unit draws")
-    out = {}
-    for label, common_name, delta_name, z_name, spike in (
-        ("alpha_i", "alpha", "delta_alpha", "z_alpha", 0.0),
-        ("rho_i", "rho", "delta_rho", "z_rho", 0.0),
-        ("sigma2_i", "sigma2", "delta_sigma", "z_sigma", 1.0),
-    ):
-        combine = np.add if spike == 0.0 else np.multiply
-        if rule == "median":
-            draws = combine(chain.common[common_name][:, None], chain.unit[delta_name])
-            out[label] = np.median(draws, axis=0)
-        elif rule == "median_with_spike_adjust":
-            spike_share = 1.0 - chain.unit[z_name].mean(axis=0)
-            delta_hat = np.where(
-                spike_share > threshold, spike, np.median(chain.unit[delta_name], axis=0)
-            )
-            out[label] = combine(np.median(chain.common[common_name]), delta_hat)
-        else:
-            raise ValueError(f"unknown rule {rule!r}")
-    return out

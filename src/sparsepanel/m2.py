@@ -236,10 +236,10 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
     )
     if hetsk:
         for label, attr in (("sigma_u", "delta_sigma_u"), ("sigma_eps", "delta_sigma_eps")):
-            active = getattr(units, attr)[units.z[label] == 1]
             prior = hyper.v_delta_sigma_u if label == "sigma_u" else hyper.v_delta_sigma_eps
             value, _ = update_v_delta_sigma_rwmh(
-                getattr(common, "v_delta_" + label), active, prior, adapts[label], gen,
+                getattr(common, "v_delta_" + label), units.z[label], getattr(units, attr), prior,
+                adapts[label], gen,
                 adapt_enabled=adapt_enabled,
             )
             setattr(common, "v_delta_" + label, value)

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Sequence, Tuple
@@ -20,7 +19,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams
-from sparsepanel.m1 import ConfigurationError, M1Config, point_estimates, run_m1
+from sparsepanel.m1 import ConfigurationError, M1Config, run_m1
 from sparsepanel.panel import simulate_m1
 from sparsepanel.rng import RngStream
 
@@ -149,50 +148,46 @@ def _cell_theta(design: MCDesign, q: float, v: float) -> CommonState:
     return theta
 
 
-def _run_replication(design: MCDesign, theta: CommonState, stream: RngStream):
-    data, truth = simulate_m1(
-        theta, design.hyper, design.n, design.t, stream.substream(0),
-        heteroskedastic=design.heteroskedastic,
-    )
-    true_vals = {"alpha": theta.alpha + truth.delta_alpha, "rho": theta.rho + truth.delta_rho}
+def _cell_losses(design: MCDesign, theta: CommonState, streams):
+    """{estimator: ({target: (R,) losses}, (R,) flags of finite draws and losses)}
+    of one cell. Each replication's panel comes from its own stream; each
+    estimator then runs as one chain over all replications' substreams."""
+    sims = [simulate_m1(theta, design.hyper, design.n, design.t, stream.substream(0),
+                        heteroskedastic=design.heteroskedastic) for stream in streams]
+    panels = [data for data, _ in sims]
+    true_vals = {"alpha": np.array([theta.alpha + truth.delta_alpha for _, truth in sims]),
+                 "rho": np.array([theta.rho + truth.delta_rho for _, truth in sims])}
     losses = {}
     for e_idx, est in enumerate(design.estimators):
-        config = _estimator_config(design, est)
-        chain = run_m1(data, config, stream.substream(1 + e_idx),
+        chain = run_m1(panels, _estimator_config(design, est),
+                       [stream.substream(1 + e_idx) for stream in streams],
                        fixed_common=theta if est == "oracle" else None)
-        if not all(np.all(np.isfinite(v)) for v in chain.common.values()):
-            losses[est] = None
-            continue
-        means = point_estimates(chain, "mean")
-        losses[est] = {
-            "alpha": float(np.mean((means["alpha_i"] - true_vals["alpha"]) ** 2)),
-            "rho": float(np.mean((means["rho_i"] - true_vals["rho"]) ** 2)),
-        }
+        loss = {target: np.mean((chain.unit_means[target + "_i"] - true_vals[target]) ** 2, axis=-1)
+                for target in TARGETS}
+        finite = np.all([np.isfinite(v).all(axis=0) for v in chain.common.values()]
+                        + [np.isfinite(v) for v in loss.values()], axis=0)
+        losses[est] = (loss, finite)
     return losses
 
 
 def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
                    progress=None) -> RiskTable:
     """Run the full grid. Replications use disjoint RNG streams keyed by
-    (cell index, replication index), so results are reproducible for any
-    thread count; reduction happens in fixed replication order."""
+    (cell index, replication index); each (cell, estimator) runs as one
+    replication-batched chain in the calling thread. `threads` starts no
+    thread (the sweep holds the interpreter lock, so threads ran slower); it
+    is the worker count kept for a process pool. `progress(done, total,
+    cell_wall_s)` follows each cell."""
     cells = [(q, v) for v in design.v_delta_alpha_grid for q in design.q_grid]
     risks, stderrs, failed, cell_wall_s = {}, {}, {}, {}
     root = RngStream(seed=seed, stream_id=0)
     for c_idx, (q, v) in enumerate(cells):
         start = time.perf_counter()
-        theta = _cell_theta(design, q, v)
         streams = [root.substream(c_idx).substream(rep) for rep in range(design.n_sim)]
-        run_one = lambda stream: _run_replication(design, theta, stream)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_one, streams))
-        else:
-            results = [run_one(s) for s in streams]
+        losses = _cell_losses(design, _cell_theta(design, q, v), streams)
         cell_wall_s[(q, v)] = time.perf_counter() - start
-        for est in design.estimators:
-            ok = [r[est] for r in results if r[est] is not None]
-            n_failed = design.n_sim - len(ok)
+        for est, (loss, finite) in losses.items():
+            n_failed = design.n_sim - int(finite.sum())
             failed[(q, v, est)] = n_failed
             if n_failed > 0.05 * design.n_sim:
                 raise RuntimeError(
@@ -200,12 +195,12 @@ def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
                     f"in cell q={q}, v={v}"
                 )
             for target in TARGETS:
-                vals = np.array([r[target] for r in ok])
+                vals = loss[target][finite]
                 risks[(q, v, est, target)] = float(vals.mean())
                 stderrs[(q, v, est, target)] = (
                     float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
                 )
         if progress is not None:
-            progress(c_idx + 1, len(cells))
+            progress(c_idx + 1, len(cells), cell_wall_s[(q, v)])
     return RiskTable(risks=risks, stderrs=stderrs, failed=failed, cell_wall_s=cell_wall_s,
                      design=design)

@@ -47,6 +47,15 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def draw_each(rng, draw, *params):
+    """`draw(gen, *params)` on one stream; on a list of generators, one per
+    replication, `draw(gen, *rows)` with each replication's own rows of the
+    parameters, the draws stacked along a leading axis."""
+    if isinstance(rng, list):
+        return np.array([draw(*args) for args in zip(rng, *params)])
+    return draw(as_generator(rng), *params)
+
+
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream, Generator, or integer seed; return a Generator."""
     if isinstance(rng, RngStream):

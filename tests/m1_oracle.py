@@ -94,9 +94,9 @@ def m1_sweep_reference(y0, Y, common: CommonState, units: UnitState, config: M1C
                 units.z["rho"], units.delta_rho, hyper.v_delta_rho, gen
             )
             if hetsk:
-                active = units.delta_sigma[units.z["sigma"] == 1]
                 common.v_delta_sigma, _ = update_v_delta_sigma_rwmh(
-                    common.v_delta_sigma, active, hyper.v_delta_sigma, adapt, gen,
+                    common.v_delta_sigma, units.z["sigma"], units.delta_sigma,
+                    hyper.v_delta_sigma, adapt, gen,
                     adapt_enabled=adapt_enabled,
                 )
 

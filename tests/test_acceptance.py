@@ -446,13 +446,14 @@ def test_criterion_7_rwmh_acceptance_rate():
         prior = InverseGammaSpec(nu=gen.uniform(2.0, 8.0), tau=gen.uniform(0.5, 4.0))
         true_v = gen.uniform(0.3, 3.0)
         deltas = sample_inverse_gamma(ig_spec_from_variance(true_v), gen, size=psi)
+        active = np.ones(psi, dtype=np.int64)
         adapt = RwmhAdaptState()
         omega = 1.0
         accepted_before = 0
         for j in range(total):
             if j == total - window:
                 accepted_before = adapt.accepted
-            omega, adapt = update_v_delta_sigma_rwmh(omega, deltas, prior, adapt, gen)
+            omega, adapt = update_v_delta_sigma_rwmh(omega, active, deltas, prior, adapt, gen)
         rate = (adapt.accepted - accepted_before) / window
         assert 0.39 <= rate <= 0.49, f"posterior {seed}: acceptance rate {rate:.3f}"
 

@@ -126,7 +126,7 @@ def test_slab_variance_log_posterior_matches_direct_formula():
         for d in deltas:
             direct += shape * np.log(scale) - gammaln(shape) - (shape + 1) * np.log(d) - scale / d
         direct += -(prior.nu / 2 + 1) * np.log(omega) - prior.tau / (2 * omega)
-        got = log_posterior_slab_variance(omega, deltas, prior)
+        got = log_posterior_slab_variance(omega, deltas.size, np.sum(np.log(deltas) + 1.0 / deltas), prior)
         # The implementation may drop delta-only terms that do not involve omega.
         # Compare differences across omega values instead of levels.
         if omega == 0.2:
@@ -137,19 +137,21 @@ def test_slab_variance_log_posterior_matches_direct_formula():
 
 def test_rwmh_targets_quadrature_distribution():
     prior = InverseGammaSpec(12.0, 10.0)
-    deltas = np.array([0.7, 1.8, 1.1, 0.5])
+    # the last unit sits at the spike: its deviation must not enter the posterior
+    deltas = np.array([0.7, 1.8, 1.1, 0.5, 50.0])
+    active = np.array([1, 1, 1, 1, 0])
     gen = RngStream(seed=16, stream_id=0).generator
     adapt = RwmhAdaptState()
     omega = 1.0
     n_keep = 40000
     draws = np.empty(n_keep)
     for j in range(5000):
-        omega, adapt = update_v_delta_sigma_rwmh(omega, deltas, prior, adapt, gen)
+        omega, adapt = update_v_delta_sigma_rwmh(omega, active, deltas, prior, adapt, gen)
     for j in range(n_keep):
-        omega, adapt = update_v_delta_sigma_rwmh(omega, deltas, prior, adapt, gen, adapt_enabled=False)
+        omega, adapt = update_v_delta_sigma_rwmh(omega, active, deltas, prior, adapt, gen, adapt_enabled=False)
         draws[j] = omega
 
-    log_post = lambda w: log_posterior_slab_variance(w, deltas, prior)
+    log_post = lambda w: log_posterior_slab_variance(w, 4, np.sum(np.log(deltas[:4]) + 1.0 / deltas[:4]), prior)
     grid_norm = quad(lambda w: np.exp(log_post(w)), 1e-8, 60, limit=300)[0]
 
     def cdf(w):
@@ -164,11 +166,12 @@ def test_rwmh_targets_quadrature_distribution():
 def test_rwmh_adaptation_reaches_target_acceptance():
     prior = InverseGammaSpec(12.0, 10.0)
     deltas = np.array([0.9, 1.4])
+    active = np.ones(deltas.size, dtype=np.int64)
     gen = RngStream(seed=17, stream_id=0).generator
     adapt = RwmhAdaptState()
     omega = 1.0
     for _ in range(20000):
-        omega, adapt = update_v_delta_sigma_rwmh(omega, deltas, prior, adapt, gen)
+        omega, adapt = update_v_delta_sigma_rwmh(omega, active, deltas, prior, adapt, gen)
     assert adapt.acceptance_rate == pytest.approx(0.44, abs=0.05)
 
 

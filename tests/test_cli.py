@@ -174,6 +174,7 @@ def test_montecarlo_command(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "risk_table.csv").exists()
     assert "cell 1/1" in err
+    assert "2 chains x 2 replications" in err and "sweeps/s" in err
 
 
 def test_forecast_command(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Tests for the dynamic panel Gibbs sampler: structural invariants per
-variant, reproducibility, parameter recovery on informative data, and the
-point-estimate rules."""
+variant, reproducibility, parameter recovery on informative data, and
+replication-batched chains against chains run one panel at a time."""
 
 import copy
 
@@ -9,7 +9,6 @@ import pytest
 
 from m1_oracle import m1_sweep_reference
 from sparsepanel.blocks import CommonState, HyperParams, RwmhAdaptState
-from sparsepanel.chainout import ChainOutput
 from sparsepanel.m1 import (
     VARIANTS,
     ConfigurationError,
@@ -17,7 +16,6 @@ from sparsepanel.m1 import (
     UnitMoments,
     init_m1_state,
     m1_sweep,
-    point_estimates,
     run_m1,
 )
 from sparsepanel.panel import simulate_m1
@@ -189,41 +187,47 @@ def test_thinning_keeps_expected_count():
     assert chain.n_draws == len(range(40, 100, 7))
 
 
-def _toy_chain():
-    # 4 draws, 2 units; unit 0 almost always at the spike for both deviations.
-    common = {
-        "alpha": np.array([1.0, 2.0, 3.0, 4.0]),
-        "rho": np.array([0.5, 0.6, 0.7, 0.8]),
-        "sigma2": np.array([1.0, 2.0, 3.0, 4.0]),
-    }
-    unit = {
-        "delta_alpha": np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [5.0, 4.0]]),
-        "z_alpha": np.array([[0, 1], [0, 1], [0, 1], [1, 1]]),
-        "delta_rho": np.zeros((4, 2)),
-        "z_rho": np.zeros((4, 2), dtype=int),
-        "delta_sigma": np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 4.0], [3.0, 4.0]]),
-        "z_sigma": np.array([[0, 1], [0, 1], [0, 1], [1, 1]]),
-    }
-    unit_means = {
-        "alpha_i": (common["alpha"][:, None] + unit["delta_alpha"]).mean(axis=0),
-        "rho_i": (common["rho"][:, None] + unit["delta_rho"]).mean(axis=0),
-        "sigma2_i": (common["sigma2"][:, None] * unit["delta_sigma"]).mean(axis=0),
-    }
-    return ChainOutput(common=common, unit=unit, unit_means=unit_means,
-                       diagnostics={}, config={}, unit_ids=("a", "b"))
+def _batched_and_single(variant, fixed_common, n_draws=60, burn_in=30):
+    """One chain over three replications, and each replication's chain alone."""
+    panels = [_sim(n=30, t=6, seed=50 + r)[0] for r in range(3)]
+    config = M1Config(variant=variant, n_draws=n_draws, burn_in=burn_in)
+    theta = _theta(hetsk=config.heteroskedastic) if fixed_common else None
+    streams = [RngStream(seed=17, stream_id=r) for r in range(3)]
+    batched = run_m1(panels, config, streams, fixed_common=theta)
+    single = [run_m1(p, config, RngStream(seed=17, stream_id=r), fixed_common=theta)
+              for r, p in enumerate(panels)]
+    return batched, single
 
 
-def test_point_estimate_rules():
-    chain = _toy_chain()
-    mean = point_estimates(chain, "mean")
-    np.testing.assert_allclose(mean["alpha_i"], [np.mean([1, 2, 3, 9]), np.mean([2, 4, 6, 8])])
-    med = point_estimates(chain, "median")
-    np.testing.assert_allclose(med["alpha_i"], [np.median([1, 2, 3, 9]), np.median([2, 4, 6, 8])])
-    adj = point_estimates(chain, "median_with_spike_adjust", threshold=0.5)
-    # Unit 0: 75% spike draws for alpha > 0.5, so delta is set to zero and the
-    # estimate is the common median; unit 1 keeps its deviation median.
-    np.testing.assert_allclose(adj["alpha_i"], [2.5, 2.5 + 2.5])
-    # Spike value for variance discrepancies is 1 (multiplicative).
-    np.testing.assert_allclose(adj["sigma2_i"], [2.5 * 1.0, 2.5 * np.median([2, 2, 4, 4])])
-    with pytest.raises(ValueError):
-        point_estimates(chain, "mode")
+@pytest.mark.parametrize("variant,fixed_common",
+                         [(v, False) for v in VARIANTS] + [("ss_homosk", True), ("ss_hetsk", True)])
+def test_batched_chain_matches_single_panel_chains(variant, fixed_common):
+    # Each replication of a batched chain draws from its own stream in the
+    # order a chain on its panel alone does, so column r of every batched
+    # draw is replication r's chain: indicators exactly, the rest to 1e-12.
+    batched, single = _batched_and_single(variant, fixed_common)
+    assert set(batched.common) == set(single[0].common)
+    for r, chain in enumerate(single):
+        for name, draws in chain.common.items():
+            np.testing.assert_allclose(batched.common[name][:, r], draws, rtol=1e-12, atol=0)
+        for name, draws in chain.unit.items():
+            if name.startswith("z_"):
+                np.testing.assert_array_equal(batched.unit[name][:, r], draws)
+            else:
+                np.testing.assert_allclose(batched.unit[name][:, r], draws, rtol=1e-12, atol=0)
+        for name, means in chain.unit_means.items():
+            np.testing.assert_allclose(batched.unit_means[name][r], means, rtol=1e-12, atol=0)
+        for name, value in chain.diagnostics.items():
+            np.testing.assert_allclose(np.broadcast_to(batched.diagnostics[name], (3,))[r], value,
+                                       rtol=1e-12)
+
+
+def test_batched_unit_means_match_stored_draws():
+    # The Monte Carlo harness scores each replication by its posterior means
+    # of the composite coefficients, read from `unit_means`.
+    batched, _ = _batched_and_single("ss_hetsk", False)
+    for name, common, delta, combine in (("alpha_i", "alpha", "delta_alpha", np.add),
+                                         ("rho_i", "rho", "delta_rho", np.add),
+                                         ("sigma2_i", "sigma2", "delta_sigma", np.multiply)):
+        composite = combine(batched.common[common][:, :, None], batched.unit[delta])
+        np.testing.assert_allclose(batched.unit_means[name], composite.mean(axis=0), rtol=1e-12)
