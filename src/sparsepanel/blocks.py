@@ -26,6 +26,7 @@ from sparsepanel.distributions import (
     expit,
     log_ndtr,
     sample_beta,
+    sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mv_normal,
     sample_truncated_normal,
@@ -176,10 +177,9 @@ def update_q(z, a, b, rng):
 
 
 def update_v_delta_normal(z, deltas, spec: InverseGammaSpec, rng):
-    """Variance of the Normal slab given the active deltas (those with z == 1):
-    IG(nu/2, tau/2), drawn as `sample_inverse_gamma` draws it."""
-    return draw_each(rng, lambda gen, nu, tau: 1.0 / gen.gamma(nu / 2.0, 2.0 / tau),
-                     spec.nu + z.sum(axis=-1), spec.tau + (z * (deltas * deltas)).sum(axis=-1))
+    """Variance of the Normal slab given the active deltas (those with z == 1)."""
+    return sample_inverse_gamma(spec.nu + z.sum(axis=-1),
+                                spec.tau + (z * (deltas * deltas)).sum(axis=-1), rng)
 
 
 def update_v_delta_alpha_iw(z, deltas, spec: InverseWishartSpec, rng) -> np.ndarray:
@@ -230,7 +230,8 @@ def update_indicator_and_deviation_ig(q, v_delta_sigma, weighted_ssr, n_obs, rng
     counts = np.asarray(n_obs)
     inv_v = 1.0 / v_delta_sigma
     a = inv_v + 2.0  # the slab is IG(a, a - 1)
-    half_nu = (2.0 * inv_v + 4.0 + counts) / 2.0
+    nu_bar = 2.0 * inv_v + 4.0 + counts
+    half_nu = nu_bar / 2.0
     tau_bar = 2.0 * inv_v + 2.0 + weighted_ssr
     # lgamma(half_nu) = lgamma(a + n/2), from a table over the few distinct counts
     if counts.ndim:
@@ -240,9 +241,8 @@ def update_indicator_and_deviation_ig(q, v_delta_sigma, weighted_ssr, n_obs, rng
     unit_free = _log_odds_prior(q) - _lgamma(a) + a * np.log(inv_v + 1.0)
     log_k = unit_free + lgamma_post - half_nu * np.log(tau_bar / 2.0) + weighted_ssr / 2.0
     z = _draw_indicators(log_k, rng)
-    # IG(half_nu, tau_bar/2) via reciprocal Gamma, drawn for every unit then masked.
-    g = draw_each(rng, lambda gen, shape, scale: gen.gamma(shape, scale), half_nu, 2.0 / tau_bar)
-    return z, np.where(z == 1, 1.0 / g, 1.0)
+    # drawn for every unit, then masked
+    return z, np.where(z == 1, sample_inverse_gamma(nu_bar, tau_bar, rng), 1.0)
 
 
 def log_posterior_slab_variance(omega: float, psi, total, prior: InverseGammaSpec) -> float:

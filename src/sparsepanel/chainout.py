@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -93,22 +94,20 @@ class ChainOutput:
             if not table:
                 continue
             fname = f"{group}.csv"
-            cols = []
-            header = []
+            header, blocks = [], []
             for name in sorted(table):
                 arr = np.asarray(table[name], dtype=float)
-                arr = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(-1, 1)
-                for j in range(arr.shape[1]):
-                    header.append(name if arr.shape[1] == 1 else f"{name}[{j}]")
-                    cols.append(arr[:, j])
-            body = "\n".join(
-                ",".join(format(col[r], ".17g") for col in cols) for r in range(cols[0].shape[0])
-            )
-            text = ",".join(header) + "\n" + body + "\n"
+                arr = arr.reshape(arr.shape[0], -1)
+                header += [name] if arr.shape[1] == 1 else [f"{name}[{j}]" for j in range(arr.shape[1])]
+                blocks.append(arr)
+            buf = io.StringIO()
+            np.savetxt(buf, np.hstack(blocks), fmt="%.17g", delimiter=",", header=",".join(header),
+                       comments="")
+            text = buf.getvalue()
             (path / fname).write_text(text, encoding="utf-8")
             digest.update(text.encode())
             written.append(fname)
-        manifest = {
+        write_manifest(path / "manifest.json", {
             "config": self.config,
             # NaN (an acceptance rate with no proposals) is not JSON; write null
             "diagnostics": {k: v if np.isfinite(v) else None
@@ -116,10 +115,15 @@ class ChainOutput:
             "files": written,
             "unit_ids": list(self.unit_ids),
             "content_sha256": digest.hexdigest(),
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        }
-        (path / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, default=_json_default, allow_nan=False) + "\n")
+        })
+
+
+def write_manifest(path, manifest: Dict) -> None:
+    """Write a run's manifest as strict JSON with sorted keys, stamped with
+    the UTC time of writing."""
+    manifest = {**manifest, "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True, default=_json_default,
+                                     allow_nan=False) + "\n")
 
 
 class DrawRecorder:

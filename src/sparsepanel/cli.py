@@ -22,6 +22,7 @@ import numpy as np
 
 from sparsepanel import __version__
 from sparsepanel.blocks import CommonState, HyperParams
+from sparsepanel.chainout import write_manifest
 from sparsepanel.forecast import (
     SCENARIOS,
     inequality_decomposition,
@@ -96,6 +97,11 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
             rc.variant = "ss_homosk" if rc.model == "m1" else "baseline"
         elif rc.variant not in variants:
             errors.append(f"variant: {rc.variant!r} is not one of {variants} for model {rc.model}")
+    try:  # through str, so that a config file's 1.5 is rejected, not truncated
+        horizons = rc.horizons = tuple(int(str(h)) for h in rc.horizons)
+    except (TypeError, ValueError):
+        horizons = None
+        errors.append(f"horizons: must be comma-separated integers, got {rc.horizons!r}")
     if rc.draws < 1:
         errors.append("draws: must be >= 1")
     if rc.burnin < 0:
@@ -125,8 +131,9 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
     if command == "forecast":
         if rc.scenario not in SCENARIOS:
             errors.append(f"scenario: {rc.scenario!r} is not one of {SCENARIOS}")
-        if any(h < 1 for h in rc.horizons):
-            errors.append("horizons: must be positive integers")
+        if horizons is not None and not (horizons and min(horizons) >= 1
+                                         and len(set(horizons)) == len(horizons)):
+            errors.append(f"horizons: must be distinct positive integers, got {list(horizons)}")
         if rc.model != "m2":
             errors.append("model: forecasting requires model m2")
     if rc.variant == "rip" and any(k in extra for k in ("q_alpha", "q_alpha_prior")):
@@ -181,9 +188,7 @@ def _resolve_config(args: argparse.Namespace) -> Dict:
         if val is not None:
             cfg[name] = val
     if getattr(args, "horizons", None) is not None:
-        cfg["horizons"] = tuple(int(h) for h in str(args.horizons).split(","))
-    elif "horizons" in cfg:
-        cfg["horizons"] = tuple(int(h) for h in cfg["horizons"])
+        cfg["horizons"] = str(args.horizons).split(",")
     if "threads" not in cfg:
         cfg["threads"] = _threads_default()
     cfg["command"] = args.command
@@ -195,7 +200,7 @@ def _progress(msg: str) -> None:
 
 
 def _write_manifest(out_dir: Path, rc: RunConfig, wall_time: float, outputs: List[str]) -> None:
-    manifest = {
+    write_manifest(out_dir / "run_manifest.json", {
         "config": {k: v for k, v in asdict(rc).items() if k != "extra"},
         "seed": rc.seed,
         "versions": {
@@ -205,9 +210,7 @@ def _write_manifest(out_dir: Path, rc: RunConfig, wall_time: float, outputs: Lis
         },
         "wall_time_seconds": round(wall_time, 3),
         "outputs": outputs,
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _default_m1_truth() -> CommonState:

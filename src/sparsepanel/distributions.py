@@ -47,6 +47,9 @@ class InverseGammaSpec:
         b = self.tau / 2.0
         return b * b / ((a - 1.0) ** 2 * (a - 2.0))
 
+    def draw(self, rng, size=None):
+        return sample_inverse_gamma(self.nu, self.tau, rng, size)
+
 
 @dataclass(frozen=True)
 class InverseWishartSpec:
@@ -94,11 +97,13 @@ def ig_spec_from_variance(v: float) -> InverseGammaSpec:
     return InverseGammaSpec(nu=2.0 / v + 4.0, tau=2.0 / v + 2.0)
 
 
-def sample_inverse_gamma(spec: InverseGammaSpec, rng, size=None):
-    """Draw from IG(nu/2, tau/2) via the reciprocal of a Gamma draw."""
-    gen = as_generator(rng)
-    g = gen.gamma(shape=spec.nu / 2.0, scale=2.0 / spec.tau, size=size)
-    return 1.0 / g
+def sample_inverse_gamma(nu, tau, rng, size=None):
+    """Draw from IG(nu/2, tau/2), nu and tau broadcasting, via the reciprocal of a
+    Gamma draw; given R generators (`rng.draw_each`), each draws its own row."""
+    if isinstance(rng, list):
+        return draw_each(rng, lambda gen, n, t: 1.0 / gen.gamma(n / 2.0, 2.0 / t),
+                         *np.broadcast_arrays(nu, tau))
+    return 1.0 / as_generator(rng).gamma(nu / 2.0, 2.0 / tau, size)
 
 
 def sample_beta(a: float, b: float, rng, size=None):

@@ -20,7 +20,7 @@ import numpy as np
 
 from sparsepanel.blocks import CommonState
 from sparsepanel.chainout import ChainOutput
-from sparsepanel.panel import M2_BLOCKS, PanelData, draw_unit_deviations
+from sparsepanel.panel import M2_BLOCKS, PanelData, draw_unit_deviations, m2_forward
 from sparsepanel.rng import as_generator
 
 SCENARIOS = ("full_info_param_unc", "full_info_no_param_unc", "individual_info")
@@ -119,27 +119,6 @@ def _terminal_regressors(data: PanelData, horizons: Sequence[int]) -> np.ndarray
     return out
 
 
-def _simulate_forward(s0, rho_i, x_path, coef_i, u_sd, eps_sd, horizons, gen):
-    """Iterate states and outcomes forward, returning y at each horizon.
-
-    `s0`, `rho_i`, `u_sd` and `eps_sd` have one shape, say (draws, units);
-    `coef_i` adds the regressor axis, and `x_path` (units, len(horizons), k)
-    broadcasts against it. The result adds the horizon axis last.
-    """
-    n_h = len(horizons)
-    y = np.empty(s0.shape + (n_h,))
-    s = s0.copy()
-    col = 0
-    for step in range(1, max(horizons) + 1):
-        s = rho_i * s + eps_sd * gen.standard_normal(s.shape)
-        if col < n_h and step == horizons[col]:
-            x_t = x_path[:, col, :]
-            y[..., col] = np.sum(x_t * coef_i, axis=-1) + s + u_sd * gen.standard_normal(s.shape)
-            col += 1
-        # horizons are sorted, so interior steps only advance the state
-    return y
-
-
 def _forecast_parameters(chain: ChainOutput, scenario: str):
     """Coefficients, AR coefficient, measurement and state variances, and
     terminal state of each unit, per draw: (draws or 1, units[, k]) arrays."""
@@ -176,29 +155,34 @@ def predict(chain: ChainOutput, data: PanelData, horizons: Sequence[int], scenar
     on the panel's units for the individual-information scenario. Each
     retained draw gives every unit one simulated path, all (draws x units)
     paths in one pass; `full_info_no_param_unc` uses the posterior means
-    for every draw.
+    for every draw. Paths step through every period up to the largest of
+    the distinct `horizons`, and the period-one conditional moments are
+    returned whatever the horizons.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
     horizons = tuple(sorted(int(h) for h in horizons))
     if not horizons or horizons[0] < 1:
         raise ValueError("horizons must be positive integers")
+    if len(set(horizons)) < len(horizons):
+        raise ValueError(f"horizons must be distinct, got {horizons}")
     gen = as_generator(rng)
-    x_path = _terminal_regressors(data, horizons)
+    steps = horizons[-1]
+    x_path = _terminal_regressors(data, range(1, steps + 1))
     shape = (chain.n_draws, data.y.shape[0])
     coef, rho_i, u_var, e_var, s0 = _forecast_parameters(chain, scenario)
     if s0.shape[1] != shape[1]:
         raise ValueError(f"the chain covers {s0.shape[1]} units, the panel {shape[1]}")
-    coef = np.broadcast_to(coef, shape + coef.shape[2:])
     rho_i, u_var, e_var, s0 = (np.broadcast_to(a, shape) for a in (rho_i, u_var, e_var, s0))
-    draws = _simulate_forward(s0, rho_i, x_path, coef, np.sqrt(u_var), np.sqrt(e_var),
-                              horizons, gen)
-    if horizons[0] == 1:
-        h1_means = np.sum(x_path[:, 0, :] * coef, axis=-1) + rho_i * s0
-        h1_vars = e_var + u_var
-    else:
-        h1_means, h1_vars = np.full(shape, np.nan), np.full(shape, np.nan)
-    return PredictiveDraws(draws, h1_means, h1_vars, scenario, horizons, data.unit_ids)
+    sd_eps, sd_u = (np.broadcast_to(np.sqrt(v)[..., None], shape + (steps,)) for v in (e_var, u_var))
+    # each step draws its state shock for every path, then its measurement shock
+    eps, u = np.moveaxis(gen.standard_normal((steps, 2) + shape), (0, 1), (-1, 0))
+    # (draws or 1, units, steps); a sum over the regressors costs less than a
+    # reduction over their short axis
+    mean = sum(x_path[..., j] * coef[:, :, None, j] for j in range(x_path.shape[-1]))
+    _, y = m2_forward(s0, rho_i, mean, sd_eps, sd_u, eps, u)
+    return PredictiveDraws(y[..., [h - 1 for h in horizons]], mean[..., 0] + rho_i * s0,
+                           e_var + u_var, scenario, horizons, data.unit_ids)
 
 
 def score(pred: PredictiveDraws, realized: np.ndarray) -> ScoreReport:
@@ -292,31 +276,24 @@ def inequality_decomposition(theta: CommonState, n: int = 10_000, t: int = 20,
     """
     gen = as_generator(rng)
     truth = draw_unit_deviations(theta, n, gen, blocks=M2_BLOCKS)
-    rho_i = theta.rho + truth.delta_rho
     s0 = theta.mu_s0 + np.sqrt(theta.v_s0) * gen.standard_normal(n)
     eps = gen.standard_normal((n, t))
     u = gen.standard_normal((n, t))
-    sig2_u = np.broadcast_to(np.asarray(theta.sigma2_u, dtype=float), (t,))
-    sig2_e = np.broadcast_to(np.asarray(theta.sigma2_eps, dtype=float), (t,))
+    sd_eps = np.sqrt(np.broadcast_to(theta.sigma2_eps, (t,)) * truth.delta_sigma_eps[:, None])
+    sd_u = np.sqrt(np.broadcast_to(theta.sigma2_u, (t,)) * truth.delta_sigma_u[:, None])
     alpha = np.atleast_1d(np.asarray(theta.alpha, dtype=float))
+    x = np.stack([np.ones(t), np.arange(1, t + 1) / 10.0], axis=-1)  # experience 1..t
 
-    def run(zero_alpha_dev: bool, zero_transitory: bool) -> np.ndarray:
-        coef = alpha[None, :] + (0.0 if zero_alpha_dev else truth.delta_alpha)
-        v_path = np.empty(t)
-        s = s0
-        for step in range(1, t + 1):
-            s = rho_i * s + np.sqrt(sig2_e[step - 1] * truth.delta_sigma_eps) * eps[:, step - 1]
-            x_t = np.column_stack([np.ones(n), np.full(n, step / 10.0)])
-            y = np.sum(x_t * coef, axis=1) + s
-            if not zero_transitory:
-                y = y + np.sqrt(sig2_u[step - 1] * truth.delta_sigma_u) * u[:, step - 1]
-            v_path[step - 1] = y.var()
-        return v_path
+    def variance_path(coef, sd_u):
+        _, y = m2_forward(s0, theta.rho + truth.delta_rho, np.sum(x * coef[:, None, :], axis=-1),
+                          sd_eps, sd_u, eps, u)
+        # one contiguous row per period: y.var(axis=0) would sum in another order
+        return np.ascontiguousarray(y.T).var(axis=1)
 
     return DecompositionResult(
-        v_baseline=run(False, False),
-        v_no_alpha_dev=run(True, False),
-        v_no_transitory=run(False, True),
+        v_baseline=variance_path(alpha + truth.delta_alpha, sd_u),
+        v_no_alpha_dev=variance_path(alpha[None, :], sd_u),
+        v_no_transitory=variance_path(alpha + truth.delta_alpha, np.zeros((1, t))),
     )
 
 

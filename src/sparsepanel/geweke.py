@@ -15,7 +15,7 @@ import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams, RwmhAdaptState, UnitState
 from sparsepanel.chainout import DrawRecorder
-from sparsepanel.distributions import sample_inverse_gamma, sample_inverse_wishart, sample_mv_normal
+from sparsepanel.distributions import sample_inverse_wishart, sample_mv_normal
 from sparsepanel.m1 import M1Config, m1_sweep
 from sparsepanel.m2 import M2Config, m2_sweep
 from sparsepanel.panel import (
@@ -67,11 +67,11 @@ def _draw_m1_common(config: M1Config, gen) -> CommonState:
     return CommonState(
         alpha=float(hyper.mu_alpha + np.sqrt(hyper.v_alpha) * gen.standard_normal()),
         rho=float(hyper.mu_rho + np.sqrt(hyper.v_rho) * gen.standard_normal()),
-        sigma2=float(sample_inverse_gamma(hyper.sigma2, gen)),
+        sigma2=float(hyper.sigma2.draw(gen)),
         q=q,
-        v_delta_alpha=float(sample_inverse_gamma(hyper.v_delta_alpha, gen)),
-        v_delta_rho=float(sample_inverse_gamma(hyper.v_delta_rho, gen)),
-        v_delta_sigma=float(sample_inverse_gamma(hyper.v_delta_sigma, gen))
+        v_delta_alpha=float(hyper.v_delta_alpha.draw(gen)),
+        v_delta_rho=float(hyper.v_delta_rho.draw(gen)),
+        v_delta_sigma=float(hyper.v_delta_sigma.draw(gen))
         if heteroskedastic else None,
     )
 
@@ -152,15 +152,15 @@ def _draw_m2_common(hyper: HyperParams, k: int, t: int, config, gen) -> CommonSt
         rho=float(hyper.mu_rho + np.sqrt(hyper.v_rho) * gen.standard_normal()),
         q=q,
         v_delta_alpha=sample_inverse_wishart(iw.dof, iw.scale, gen),
-        v_delta_rho=float(sample_inverse_gamma(hyper.v_delta_rho, gen)),
-        sigma2_u=sample_inverse_gamma(hyper.sigma2_u, gen, size=t),
-        sigma2_eps=sample_inverse_gamma(hyper.sigma2_eps, gen, size=t),
-        v_delta_sigma_u=float(sample_inverse_gamma(hyper.v_delta_sigma_u, gen))
+        v_delta_rho=float(hyper.v_delta_rho.draw(gen)),
+        sigma2_u=hyper.sigma2_u.draw(gen, size=t),
+        sigma2_eps=hyper.sigma2_eps.draw(gen, size=t),
+        v_delta_sigma_u=float(hyper.v_delta_sigma_u.draw(gen))
         if config.heteroskedastic else None,
-        v_delta_sigma_eps=float(sample_inverse_gamma(hyper.v_delta_sigma_eps, gen))
+        v_delta_sigma_eps=float(hyper.v_delta_sigma_eps.draw(gen))
         if config.heteroskedastic else None,
         mu_s0=float(hyper.mu_s0_mean + np.sqrt(hyper.mu_s0_var) * gen.standard_normal()),
-        v_s0=float(sample_inverse_gamma(hyper.v_s0, gen)),
+        v_s0=float(hyper.v_s0.draw(gen)),
     )
 
 

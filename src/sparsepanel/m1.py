@@ -29,6 +29,7 @@ from sparsepanel.blocks import (
     update_v_delta_sigma_rwmh,
 )
 from sparsepanel.chainout import ChainOutput, ConfigurationError, DrawRecorder, check_chain_lengths
+from sparsepanel.distributions import sample_inverse_gamma
 from sparsepanel.panel import PanelData
 from sparsepanel.rng import as_generator, draw_each
 
@@ -247,10 +248,9 @@ def m1_sweep(y0, Y, common: CommonState, units: UnitState, config: M1Config, ada
         )
 
     if not fixed_common:
-        # IG(nu/2, tau/2), drawn as `sample_inverse_gamma` draws it
-        nu = hyper.sigma2.nu + shape[-1] * t
-        common.sigma2 = draw_each(gen, lambda g, tau: 1.0 / g.gamma(nu / 2.0, 2.0 / tau),
-                                  hyper.sigma2.tau + (ssr / units.delta_sigma).sum(axis=-1))
+        ssr_scaled = (ssr / units.delta_sigma).sum(axis=-1)
+        common.sigma2 = sample_inverse_gamma(hyper.sigma2.nu + shape[-1] * t,
+                                             hyper.sigma2.tau + ssr_scaled, gen)
 
 
 def _extract_arrays(data: PanelData):

@@ -282,10 +282,8 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
     v_bar = 1.0 / (1.0 / hyper.mu_s0_var + n / common.v_s0)
     m_bar = v_bar * (hyper.mu_s0_mean / hyper.mu_s0_var + s0.sum() / common.v_s0)
     common.mu_s0 = float(m_bar + np.sqrt(v_bar) * gen.standard_normal())
-    post = InverseGammaSpec(
-        nu=hyper.v_s0.nu + n, tau=hyper.v_s0.tau + float(np.sum((s0 - common.mu_s0) ** 2))
-    )
-    common.v_s0 = float(sample_inverse_gamma(post, gen))
+    common.v_s0 = float(sample_inverse_gamma(
+        hyper.v_s0.nu + n, hyper.v_s0.tau + float(np.sum((s0 - common.mu_s0) ** 2)), gen))
 
     # Period variances.
     resid_u = np.where(
@@ -298,12 +296,10 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
     n_t = mask.sum(axis=0).astype(float)
     ssr_u_t = (resid_u**2 / units.delta_sigma_u[:, None]).sum(axis=0)
     ssr_eps_t = (resid_eps**2 / units.delta_sigma_eps[:, None]).sum(axis=0)
-    # IG((nu + count)/2, (tau + ssr)/2) for every period in one draw, as
-    # the reciprocal of a Gamma draw (see `sample_inverse_gamma`).
-    common.sigma2_u = 1.0 / gen.gamma((hyper.sigma2_u.nu + n_t) / 2.0,
-                                      2.0 / (hyper.sigma2_u.tau + ssr_u_t))
-    common.sigma2_eps = 1.0 / gen.gamma((hyper.sigma2_eps.nu + n) / 2.0,
-                                        2.0 / (hyper.sigma2_eps.tau + ssr_eps_t))
+    # IG((nu + count)/2, (tau + ssr)/2) for every period in one draw
+    common.sigma2_u = sample_inverse_gamma(hyper.sigma2_u.nu + n_t, hyper.sigma2_u.tau + ssr_u_t, gen)
+    common.sigma2_eps = sample_inverse_gamma(hyper.sigma2_eps.nu + n, hyper.sigma2_eps.tau + ssr_eps_t,
+                                             gen)
 
 
 def _extract_m2_arrays(data: PanelData):
@@ -405,7 +401,7 @@ def _individual_param_draw(y, x, mask, priors: IndividualPriors, coef, s, sig_ep
 
     r_i comes from the state regression under its N(rho_mean, rho_var) prior,
     all units in one batched call; each variance is IG((nu + count)/2,
-    (tau + ssr)/2), drawn as the reciprocal of a Gamma draw.
+    (tau + ssr)/2).
     """
     s_lag, s_now = s[:, :-1], s[:, 1:]
     draw, _, _ = update_common_regression(
@@ -415,11 +411,11 @@ def _individual_param_draw(y, x, mask, priors: IndividualPriors, coef, s, sig_ep
     )
     r = draw[:, 0]
     resid = np.where(mask, y - np.einsum("itk,ik->it", x, coef) - s_now, 0.0)
-    sig_u = 1.0 / gen.gamma((priors.noise_u.nu + mask.sum(axis=1)) / 2.0,
-                            2.0 / (priors.noise_u.tau + np.einsum("it,it->i", resid, resid)))
+    sig_u = sample_inverse_gamma(priors.noise_u.nu + mask.sum(axis=1),
+                                 priors.noise_u.tau + np.einsum("it,it->i", resid, resid), gen)
     resid = s_now - r[:, None] * s_lag
-    sig_eps = 1.0 / gen.gamma((priors.noise_eps.nu + s_now.shape[1]) / 2.0,
-                              2.0 / (priors.noise_eps.tau + np.einsum("it,it->i", resid, resid)))
+    sig_eps = sample_inverse_gamma(priors.noise_eps.nu + s_now.shape[1],
+                                   priors.noise_eps.tau + np.einsum("it,it->i", resid, resid), gen)
     return r, sig_u, sig_eps
 
 

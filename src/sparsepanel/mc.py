@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams
+from sparsepanel.chainout import write_manifest
 from sparsepanel.m1 import ConfigurationError, M1Config, run_m1
 from sparsepanel.panel import simulate_m1
 from sparsepanel.rng import RngStream
@@ -104,7 +104,7 @@ class RiskTable:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "risk_table.csv").write_text(self.to_csv())
-        manifest = {
+        write_manifest(out / "manifest.json", {
             "model": self.design.model,
             "n": self.design.n,
             "t": self.design.t,
@@ -118,9 +118,7 @@ class RiskTable:
                 f"q={k[0]:g},v={k[1]:g},{k[2]}": v for k, v in self.failed.items() if v
             },
             "cell_wall_s": {f"q={k[0]:g},v={k[1]:g}": v for k, v in self.cell_wall_s.items()},
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        })
 
 
 def _estimator_config(design: MCDesign, estimator: str) -> M1Config:

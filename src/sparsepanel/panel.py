@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams, UnitState
-from sparsepanel.distributions import ig_spec_from_variance, sample_inverse_gamma, sample_mv_normal
+from sparsepanel.distributions import ig_spec_from_variance, sample_mv_normal
 from sparsepanel.rng import as_generator
 
 
@@ -253,7 +253,7 @@ def draw_unit_deviations(theta: CommonState, n: int, rng, blocks=("alpha", "rho"
             units.delta_rho = z * np.sqrt(theta.v_delta_rho) * gen.standard_normal(n)
         else:
             v = getattr(theta, "v_delta_" + label)
-            slab = sample_inverse_gamma(ig_spec_from_variance(v), gen, size=n) if v else np.ones(n)
+            slab = ig_spec_from_variance(v).draw(gen, size=n) if v else np.ones(n)
             setattr(units, "delta_" + label, np.where(z == 1, slab, 1.0))
     return units
 
@@ -296,6 +296,24 @@ def simulate_m1(theta: CommonState, hyper: HyperParams, n: int, t: int, rng,
     return data, truth
 
 
+def m2_forward(s0, rho, mean, sd_eps, sd_u, eps, u) -> Tuple[np.ndarray, np.ndarray]:
+    """States, s_0 first, and outcomes of the latent-state recursion
+    s_t = rho s_{t-1} + sd_eps_t eps_t, y_t = mean_t + s_t + sd_u_t u_t, t = 1..H.
+
+    The last axis of `mean`, the shock sds and the caller's noise `eps` and `u`
+    is the period; the others, and `s0` and `rho`, broadcast to the paths.
+    """
+    h = eps.shape[-1]
+    s = np.empty(np.shape(s0) + (h + 1,))
+    y = np.empty(np.shape(s0) + (h,))
+    s[..., 0] = state = s0
+    for t in range(h):
+        state = rho * state + sd_eps[..., t] * eps[..., t]
+        s[..., t + 1] = state
+        y[..., t] = mean[..., t] + state + sd_u[..., t] * u[..., t]
+    return s, y
+
+
 def simulate_m2_given(theta: CommonState, units: UnitState, x: np.ndarray, rng
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """States s, shape (n, T+1) with s_0 from its Normal prior, and outcomes
@@ -303,21 +321,14 @@ def simulate_m2_given(theta: CommonState, units: UnitState, x: np.ndarray, rng
     regressors x of shape (n, T, k)."""
     gen = as_generator(rng)
     n, t, _ = x.shape
-    rho_i = theta.rho + units.delta_rho
-    alpha = np.atleast_1d(np.asarray(theta.alpha, dtype=float))
-    s = np.empty((n, t + 1))
-    s[:, 0] = theta.mu_s0 + np.sqrt(theta.v_s0) * gen.standard_normal(n)
+    s0 = theta.mu_s0 + np.sqrt(theta.v_s0) * gen.standard_normal(n)
     eps = gen.standard_normal((n, t))
     u = gen.standard_normal((n, t))
-    y = np.empty((n, t))
-    for step in range(1, t + 1):
-        sd_eps = np.sqrt(theta.sigma2_eps[step - 1] * units.delta_sigma_eps)
-        s[:, step] = rho_i * s[:, step - 1] + sd_eps * eps[:, step - 1]
-        x_t = x[:, step - 1]
-        sd_u = np.sqrt(theta.sigma2_u[step - 1] * units.delta_sigma_u)
-        y[:, step - 1] = (x_t @ alpha + np.sum(x_t * units.delta_alpha, axis=1) + s[:, step]
-                          + sd_u * u[:, step - 1])
-    return s, y
+    alpha = np.atleast_1d(np.asarray(theta.alpha, dtype=float))
+    mean = x @ alpha + np.sum(x * units.delta_alpha[:, None, :], axis=2)
+    return m2_forward(s0, theta.rho + units.delta_rho, mean,
+                      np.sqrt(theta.sigma2_eps * units.delta_sigma_eps[:, None]),
+                      np.sqrt(theta.sigma2_u * units.delta_sigma_u[:, None]), eps, u)
 
 
 def simulate_m2(theta: CommonState, hyper: HyperParams, n: int, t: int, experience_profile, rng

@@ -18,7 +18,7 @@ from sparsepanel.blocks import (
     update_v_delta_normal,
     update_v_delta_sigma_rwmh,
 )
-from sparsepanel.distributions import InverseGammaSpec, sample_inverse_gamma
+from sparsepanel.distributions import sample_inverse_gamma
 from sparsepanel.m1 import M1Config
 
 
@@ -129,5 +129,5 @@ def m1_sweep_reference(y0, Y, common: CommonState, units: UnitState, config: M1C
     if not fixed_common:
         resid = Y - (common.alpha + units.delta_alpha)[:, None] - (common.rho + units.delta_rho)[:, None] * L
         ssr_w = float(np.sum((resid * resid).sum(axis=1) / units.delta_sigma))
-        post = InverseGammaSpec(nu=hyper.sigma2.nu + n * t, tau=hyper.sigma2.tau + ssr_w)
-        common.sigma2 = float(sample_inverse_gamma(post, gen))
+        common.sigma2 = float(sample_inverse_gamma(hyper.sigma2.nu + n * t,
+                                                   hyper.sigma2.tau + ssr_w, gen))

@@ -54,7 +54,6 @@ from sparsepanel.distributions import (
     InverseGammaSpec,
     InverseWishartSpec,
     ig_spec_from_variance,
-    sample_inverse_gamma,
     sample_mv_normal,
 )
 from sparsepanel.forecast import PredictiveDraws, predict, score
@@ -445,7 +444,7 @@ def test_criterion_7_rwmh_acceptance_rate():
         psi = int(gen.integers(3, 30))
         prior = InverseGammaSpec(nu=gen.uniform(2.0, 8.0), tau=gen.uniform(0.5, 4.0))
         true_v = gen.uniform(0.3, 3.0)
-        deltas = sample_inverse_gamma(ig_spec_from_variance(true_v), gen, size=psi)
+        deltas = ig_spec_from_variance(true_v).draw(gen, size=psi)
         active = np.ones(psi, dtype=np.int64)
         adapt = RwmhAdaptState()
         omega = 1.0
@@ -482,7 +481,7 @@ def _draw_prior_units(common, n, t, k, gen):
             deltas[label] = np.ones(n)
         else:
             z[label] = (gen.random(n) < common.q[label]).astype(np.int64)
-            draws = sample_inverse_gamma(ig_spec_from_variance(v), gen, size=n)
+            draws = ig_spec_from_variance(v).draw(gen, size=n)
             deltas[label] = np.where(z[label] == 1, draws, 1.0)
     s = np.empty((n, t + 1))
     s[:, 0] = common.mu_s0 + np.sqrt(common.v_s0) * gen.standard_normal(n)
@@ -582,7 +581,7 @@ def test_criterion_9_variance_slab_reparameterization():
     n_batches = 50
     for v in (0.25, 1.0, 4.0):
         gen = np.random.default_rng(int(v * 100))
-        x = sample_inverse_gamma(ig_spec_from_variance(v), gen, size=n)
+        x = ig_spec_from_variance(v).draw(gen, size=n)
         se_mean = x.std(ddof=1) / np.sqrt(n)
         assert abs(x.mean() - 1.0) < 3 * se_mean, f"v={v}: mean {x.mean():.4f}"
         # the draws have an infinite fourth moment for larger v, so the

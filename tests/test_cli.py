@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -192,6 +193,27 @@ def test_forecast_command(tmp_path, capsys):
     assert header == "unit,horizon,quantile,value"
 
 
+@pytest.mark.parametrize("horizons, message", [
+    ("1,1", "horizons: must be distinct positive integers"),
+    ("1,x", "horizons: must be comma-separated integers"),
+])
+def test_bad_horizons_exit_2(horizons, message, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli(["simulate", "--model", "m2", "--n", "4", "--t", "4", "--out", str(sim)], capsys)
+    code, out, err = run_cli(
+        ["forecast", "--model", "m2", "--data", str(sim / "panel.csv"), "--draws", "20",
+         "--burnin", "10", "--horizons", horizons, "--out", str(tmp_path / "fc")], capsys)
+    assert code == 2
+    assert out == ""
+    assert any(line.startswith("error: " + message) for line in err.splitlines())
+    assert not (tmp_path / "fc" / "fan_chart.csv").exists()
+
+
+def test_config_file_horizons_must_be_integers():
+    _, errors, _ = validate_config({"command": "forecast", "model": "m2", "horizons": [1.5, 2]})
+    assert any(e.startswith("horizons: must be comma-separated integers") for e in errors)
+
+
 def test_decompose_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cohort_size": 300, "cohort_periods": 6,
@@ -319,6 +341,12 @@ def test_chain_manifest_is_strict_json(model, variant, tmp_path, capsys):
     manifest = strict_json((chain_dir / "manifest.json").read_text())
     undefined = [name for name, value in manifest["diagnostics"].items() if value is None]
     assert undefined and all(name.startswith("rwmh_acceptance") for name in undefined)
+    # chain and run manifests come from one writer: sorted keys, written_at in UTC
+    for name in ("manifest.json", "run_manifest.json"):
+        text = (chain_dir / name).read_text()
+        manifest = strict_json(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", manifest["written_at"])
 
 
 def test_cli_import_loads_no_scipy():

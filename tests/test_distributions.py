@@ -54,14 +54,14 @@ def test_ig_spec_from_variance_moments(v):
 
 def test_sample_inverse_gamma_mc_moments():
     spec = InverseGammaSpec(nu=6.0, tau=0.2)
-    draws = sample_inverse_gamma(spec, RngStream(7, 0), size=400_000)
+    draws = sample_inverse_gamma(spec.nu, spec.tau, RngStream(7, 0), size=400_000)
     stderr = np.std(draws) / np.sqrt(draws.size)
     assert abs(np.mean(draws) - 0.05) < 3.0 * stderr
 
 
 def test_sample_inverse_gamma_ks():
     spec = InverseGammaSpec(nu=12.0, tau=10.0)
-    draws = sample_inverse_gamma(spec, RngStream(11, 0), size=1_000_000)
+    draws = sample_inverse_gamma(spec.nu, spec.tau, RngStream(11, 0), size=1_000_000)
     stat = stats.kstest(draws, stats.invgamma(a=6.0, scale=5.0).cdf).statistic
     assert stat < 0.005
 
@@ -175,8 +175,18 @@ def test_sample_truncated_normal_support_and_ks():
 
 
 def test_reproducibility_bit_identical():
-    a = sample_inverse_gamma(InverseGammaSpec(6.0, 4.0), RngStream(42, 3), size=100)
-    b = sample_inverse_gamma(InverseGammaSpec(6.0, 4.0), RngStream(42, 3), size=100)
+    a = sample_inverse_gamma(6.0, 4.0, RngStream(42, 3), size=100)
+    b = sample_inverse_gamma(6.0, 4.0, RngStream(42, 3), size=100)
     assert np.array_equal(a, b)
-    c = sample_inverse_gamma(InverseGammaSpec(6.0, 4.0), RngStream(42, 4), size=100)
+    c = sample_inverse_gamma(6.0, 4.0, RngStream(42, 4), size=100)
     assert not np.array_equal(a, c)
+
+
+def test_sample_inverse_gamma_draws_each_replication_from_its_own_generator():
+    nu = np.array([[6.0], [9.0], [12.0]])
+    tau = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    batched = sample_inverse_gamma(nu, tau, [RngStream(3, r).generator for r in range(3)])
+    alone = [sample_inverse_gamma(nu[r], tau[r], RngStream(3, r)) for r in range(3)]
+    np.testing.assert_array_equal(batched, alone)
+    spec_draw = InverseGammaSpec(6.0, 1.0).draw(RngStream(3, 0))
+    assert spec_draw == sample_inverse_gamma(6.0, 1.0, RngStream(3, 0))

@@ -58,6 +58,23 @@ def test_predict_shapes_and_horizon_validation():
         predict(chain, data, [0], "full_info_param_unc", np.random.default_rng(0))
     with pytest.raises(ValueError):
         predict(chain, data, [1], "nope", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="distinct"):
+        predict(chain, data, [1, 1], "full_info_param_unc", np.random.default_rng(0))
+
+
+def test_gapped_horizons_simulate_every_step():
+    # horizons 1 and 3 come from the same simulated paths as horizons 1, 2, 3,
+    # and horizon one's conditional moments do not depend on the set
+    data, _, chain = make_fit(n=6)
+    full = predict(chain, data, [1, 2, 3], "full_info_param_unc", np.random.default_rng(5))
+    gapped = predict(chain, data, [3, 1], "full_info_param_unc", np.random.default_rng(5))
+    later = predict(chain, data, [2], "full_info_param_unc", np.random.default_rng(5))
+    assert gapped.horizons == (1, 3)
+    np.testing.assert_array_equal(gapped.draws, full.draws[:, :, [0, 2]])
+    np.testing.assert_array_equal(later.draws, full.draws[:, :, [1]])
+    for pred in (gapped, later):
+        np.testing.assert_array_equal(pred.h1_means, full.h1_means)
+        np.testing.assert_array_equal(pred.h1_vars, full.h1_vars)
 
 
 def test_missing_unit_draws_raise():
