@@ -280,10 +280,11 @@ def update_v_delta_sigma_rwmh(omega, z, deltas, prior: InverseGammaSpec, adapt: 
         return (proposal if accepted else omega), accept_prob, float(accepted)
 
     psi, total = z.sum(axis=-1).tolist(), (z * (np.log(deltas) + 1.0 / deltas)).sum(axis=-1).tolist()
-    omega, accept_prob, accepted = np.transpose(draw_each(rng, step, omega, adapt.step, psi, total))
+    drawn = draw_each(rng, step, omega, adapt.step, psi, total)  # one chain's are Python floats
+    omega, accept_prob, accepted = np.transpose(drawn) if isinstance(rng, list) else drawn
     adapt.iteration += 1
     adapt.proposed += 1
-    adapt.accepted = adapt.accepted + accepted.astype(np.int64)
+    adapt.accepted = adapt.accepted + np.asarray(accepted, dtype=np.int64)
     if adapt_enabled:
         raw = adapt.log_step + adapt.iteration ** (-adapt.exponent_p) * (accept_prob - adapt.target_accept)
         adapt.log_step = np.sign(raw) * np.minimum(np.abs(raw), adapt.cap)

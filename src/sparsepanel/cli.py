@@ -98,7 +98,8 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
         elif rc.variant not in variants:
             errors.append(f"variant: {rc.variant!r} is not one of {variants} for model {rc.model}")
     try:  # through str, so that a config file's 1.5 is rejected, not truncated
-        horizons = rc.horizons = tuple(int(str(h)) for h in rc.horizons)
+        parts = rc.horizons.split(",") if isinstance(rc.horizons, str) else rc.horizons
+        horizons = rc.horizons = tuple(int(str(h)) for h in parts)
     except (TypeError, ValueError):
         horizons = None
         errors.append(f"horizons: must be comma-separated integers, got {rc.horizons!r}")
@@ -188,7 +189,7 @@ def _resolve_config(args: argparse.Namespace) -> Dict:
         if val is not None:
             cfg[name] = val
     if getattr(args, "horizons", None) is not None:
-        cfg["horizons"] = str(args.horizons).split(",")
+        cfg["horizons"] = args.horizons
     if "threads" not in cfg:
         cfg["threads"] = _threads_default()
     cfg["command"] = args.command
@@ -304,7 +305,8 @@ def _cmd_montecarlo(rc: RunConfig) -> Dict:
             f"replications, {len(design.estimators) * design.n_sim * design.n_draws / wall_s:,.0f} sweeps/s"),
     )
     out = Path(rc.out)
-    table.write(out)
+    table.write(out)  # the table and its failure counts, even when the run then fails
+    table.check_failures()
     return {"risk_table": str(out / "risk_table.csv"), "cells": n_cells}
 
 

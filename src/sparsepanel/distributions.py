@@ -99,11 +99,13 @@ def ig_spec_from_variance(v: float) -> InverseGammaSpec:
 
 def sample_inverse_gamma(nu, tau, rng, size=None):
     """Draw from IG(nu/2, tau/2), nu and tau broadcasting, via the reciprocal of a
-    Gamma draw; given R generators (`rng.draw_each`), each draws its own row."""
+    Gamma draw; given R generators (`rng.draw_each`), each draws its own row.
+    One generator scales standard Gamma draws: `gamma`'s numbers, without its checks."""
     if isinstance(rng, list):
         return draw_each(rng, lambda gen, n, t: 1.0 / gen.gamma(n / 2.0, 2.0 / t),
                          *np.broadcast_arrays(nu, tau))
-    return 1.0 / as_generator(rng).gamma(nu / 2.0, 2.0 / tau, size)
+    size = np.broadcast(nu, tau).shape or None if size is None else size
+    return 1.0 / (2.0 / tau * as_generator(rng).standard_gamma(nu / 2.0, size))
 
 
 def sample_beta(a: float, b: float, rng, size=None):
@@ -131,13 +133,21 @@ def _is_symmetric(cov: np.ndarray) -> bool:
 
 
 def _cholesky(cov: np.ndarray, bump: float):
-    """Lower Cholesky factor of cov + bump * I, or None if not PD; a closed form for k <= 2."""
-    k = cov.shape[0]
+    """Lower Cholesky factor of cov + bump * I, or None if not PD; a closed form for k <= 2.
+    A batch (B, k, k) is factored whole, and is None if any of its matrices is not PD."""
+    k = cov.shape[-1]
     if k > 2:
         try:
             return np.linalg.cholesky(cov + bump * np.eye(k))
         except np.linalg.LinAlgError:
             return None
+    if cov.ndim == 3:
+        lower = np.zeros_like(cov)
+        lower[:, 0, 0] = np.sqrt(cov[:, 0, 0] + bump)
+        if k == 2:
+            lower[:, 1, 0] = cov[:, 1, 0] * (1.0 / lower[:, 0, 0])  # LAPACK's order of operations
+            lower[:, 1, 1] = np.sqrt(cov[:, 1, 1] + bump - lower[:, 1, 0] * lower[:, 1, 0])
+        return lower if (lower.diagonal(0, 1, 2) > 0).all() else None
     c = cov.tolist()
     a11 = c[0][0] + bump
     if not a11 > 0:
@@ -150,6 +160,20 @@ def _cholesky(cov: np.ndarray, bump: float):
     if not a22 > 0:
         return None
     return np.array([[l11, 0.0], [l21, math.sqrt(a22)]])
+
+
+def _solve_lower(lower: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """x with L x = b, or L' x = b if `trans`, for lower factors L (B, k, k) and b (B, k);
+    substitution for k <= 2, LAPACK otherwise."""
+    k = lower.shape[-1]
+    if k > 2:
+        return np.linalg.solve(lower.swapaxes(1, 2) if trans else lower, b[:, :, None])[:, :, 0]
+    x = b.copy()
+    i, j = (k - 1, 0) if trans else (0, 1)
+    x[:, i] /= lower[:, i, i]
+    if k == 2:
+        x[:, j] = (x[:, j] - lower[:, 1, 0] * x[:, i]) / lower[:, j, j]
+    return x
 
 
 def _inv(m: np.ndarray) -> np.ndarray:
@@ -175,7 +199,7 @@ def _inv(m: np.ndarray) -> np.ndarray:
 
 def expit(x):
     """Logistic function 1 / (1 + exp(-x)); exactly 0 and 1 at -inf and +inf, NaN passes through."""
-    e = np.exp(-np.abs(x))  # in [0, 1], so nothing overflows
+    e = np.exp(np.copysign(x, -1.0))  # exp(-|x|) in [0, 1], so nothing overflows
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -344,9 +368,11 @@ def sample_inverse_wishart(dof: float, scale: np.ndarray, rng, size=None):
         a[:, i, :i] = gen.standard_normal((n, i))
     for i in range(k):
         a[:, i, i] = np.sqrt(gen.chisquare(dof - k + 1 + i, size=n))
+    if size is None:
+        lower = chol @ _inv(a[0])
+        return lower @ lower.T
     lower = chol @ np.linalg.inv(a)
-    draw = lower @ lower.swapaxes(1, 2)
-    return draw[0] if size is None else draw
+    return lower @ lower.swapaxes(1, 2)
 
 
 def sample_truncated_normal(spec: TruncatedNormalSpec, rng, size=None):

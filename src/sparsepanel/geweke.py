@@ -17,7 +17,7 @@ from sparsepanel.blocks import CommonState, HyperParams, RwmhAdaptState, UnitSta
 from sparsepanel.chainout import DrawRecorder
 from sparsepanel.distributions import sample_inverse_wishart, sample_mv_normal
 from sparsepanel.m1 import M1Config, m1_sweep
-from sparsepanel.m2 import M2Config, m2_sweep
+from sparsepanel.m2 import M2Config, m2_sweep, panel_moments
 from sparsepanel.panel import (
     M2_BLOCKS,
     draw_unit_deviations,
@@ -226,11 +226,12 @@ def run_geweke_m2(variant: str, n: int, t: int, k: int, n_iter: int, rng,
     common = _draw_m2_common(hyper, k, t, config, gen_sc)
     units = draw_unit_deviations(common, n, gen_sc, blocks=M2_BLOCKS)
     adapts = {"sigma_u": RwmhAdaptState(), "sigma_eps": RwmhAdaptState()}
+    moments = panel_moments(mask, x)  # the data change, the mask and regressors do not
     for j in range(successive.n_draws):
         # refresh the states with the data, so the chain visits the full
         # joint law of (parameters, states, outcomes)
         units.s, y = simulate_m2_given(common, units, x, gen_sc)
-        m2_sweep(y, x, mask, common, units, config, adapts, gen_sc, adapt_enabled=False)
+        m2_sweep(y, x, moments, common, units, config, adapts, gen_sc, adapt_enabled=False)
         if successive.keeps(j):
             successive.record(_m2_test_functions(common, units, config))
 

@@ -12,6 +12,7 @@ unit's coefficients deviate).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional
 
@@ -32,7 +33,8 @@ from sparsepanel.blocks import (
     update_v_delta_sigma_rwmh,
 )
 from sparsepanel.chainout import ChainOutput, ConfigurationError, DrawRecorder, check_chain_lengths
-from sparsepanel.distributions import InverseGammaSpec, expit, sample_inverse_gamma
+from sparsepanel.distributions import (InverseGammaSpec, _cholesky, _inv, _solve_lower, expit,
+                                       sample_inverse_gamma)
 from sparsepanel.panel import M2_BLOCKS, PanelData
 from sparsepanel.rng import as_generator
 
@@ -111,6 +113,25 @@ class StateDraw(NamedTuple):
     s: np.ndarray            # (N, T+1), s_0 first
 
 
+class PanelMoments(NamedTuple):
+    """What every sweep of one chain reads of its panel, built once. A count shared
+    by every unit (or period) is one int, sparing its draws per-element tables."""
+
+    maskf: np.ndarray        # (N, T), 1.0 where a cell carries a measurement
+    n_obs: object            # (N,) observation counts, or their shared value
+    n_t: object              # (T,) units observed in each period, or their shared value
+    xx: np.ndarray           # (N*T, k*k) outer products x x' of every cell
+
+
+def panel_moments(mask, x) -> PanelMoments:
+    def _shared(counts):
+        return int(counts[0]) if (counts == counts[0]).all() else counts
+
+    n, t_len, _ = x.shape
+    return PanelMoments(mask.astype(float), _shared(mask.sum(axis=1)), _shared(mask.sum(axis=0)),
+                        (x[:, :, :, None] * x[:, :, None, :]).reshape(n * t_len, -1))
+
+
 def draw_states_and_alpha_deviation(y, x, mask, common, units, hetero, u, e, e0) -> StateDraw:
     """Joint draw of (z_alpha, s_1..s_T, delta_alpha), then s_0, for all units.
 
@@ -122,72 +143,79 @@ def draw_states_and_alpha_deviation(y, x, mask, common, units, hetero, u, e, e0)
     S = V_alpha^-1 + X'DX - C'C, so log det P1 = log det P0 + log det S.
     The prior mean phi^t mu_s0 enters only through s_1, and its quadratic is
     the same under both indicator values, so it drops from the odds.
-    `u` (N,), `e` (N, T+k) and `e0` (N,) are the uniform and standard
-    normal noise the draw consumes; `e[:, :T]` drives the states.
+    `mask` is boolean or 0/1 floats. `u` (N,), `e` (N, T+k) and `e0` (N,) are
+    the uniform and standard normal noise the draw consumes; `e[:, :T]` drives the states.
     """
     n, t_len, k = x.shape
     v_alpha = np.atleast_2d(common.v_delta_alpha)
     phi = common.rho + units.delta_rho
-    w = common.sigma2_eps[None, :] * units.delta_sigma_eps[:, None]
-    w[:, 0] += phi**2 * common.v_s0  # s_0 integrated out
-    d = np.where(mask, 1.0 / (common.sigma2_u[None, :] * units.delta_sigma_u[:, None]), 0.0)
-    y_check = np.where(mask, y - x @ common.alpha, 0.0)
-    xd = x * d[:, :, None]
-    diag = 1.0 / w + d
-    diag[:, :-1] += phi[:, None] ** 2 / w[:, 1:]
-    sub = -phi[:, None] / w[:, 1:]
+    w = common.sigma2_eps[:, None] * units.delta_sigma_eps  # (T, N), as are piv, sub, lo
+    w[0] += phi**2 * common.v_s0  # s_0 integrated out
+    d = mask / (common.sigma2_u * units.delta_sigma_u[:, None])
+    y_check = y - x @ common.alpha
+    piv = 1.0 / w + d.T
+    piv[:-1] += phi**2 / w[1:]
+    sub = -phi / w[1:]
 
     # Forward pass, with rows indexed by period: P0 = L diag(piv) L' with L
     # unit lower bidiagonal (multipliers lo), so L0 = L diag(piv)^1/2, and
     # fw = L0^-1 [b0, DX] for both right-hand sides. The loops run over lists
-    # of row views, which index faster than the arrays they update in place.
-    piv, lo = diag.T.copy(), np.zeros((t_len, n, 1))
-    fw = np.concatenate([(d * y_check).T[:, :, None], xd.transpose(1, 0, 2)], axis=2)
-    fw[0, :, 0] += phi * common.mu_s0 / w[:, 0]
-    piv_t, lo_t, fw_t, sub_t = list(piv), list(lo[:, :, 0]), list(fw), list(sub.T)
+    # of flat row views (lo repeated over each unit's k + 1 columns), which
+    # index faster than the arrays they update in place and need no broadcast.
+    yx = np.concatenate([y_check[:, :, None], x], axis=2)
+    dyx = yx * d[:, :, None]
+    xd_yx = dyx[:, :, 1:].transpose(0, 2, 1) @ yx  # [X'D y_check, X'DX]
+    fw = dyx.transpose(1, 0, 2).copy()
+    fw[0, :, 0] += phi * common.mu_s0 / w[0]
+    piv_t, sub2_t = list(piv), list(sub * sub)
     for t in range(1, t_len):
-        np.divide(sub_t[t - 1], piv_t[t - 1], out=lo_t[t])
-        piv_t[t] -= lo_t[t] * sub_t[t - 1]
-    lo_t = list(lo)
+        piv_t[t] -= sub2_t[t - 1] / piv_t[t - 1]
+    lo = sub / piv[:-1]  # lo[t - 1] multiplies row t - 1 into row t
+    fw_t, lo_t = list(fw.reshape(t_len, -1)), list(np.repeat(lo, k + 1, axis=1))
     for t in range(1, t_len):
-        fw_t[t] -= lo_t[t] * fw_t[t - 1]
+        fw_t[t] -= lo_t[t - 1] * fw_t[t - 1]
     root_piv = np.sqrt(piv)
-    fw = (fw / root_piv[:, :, None]).transpose(1, 0, 2)
+    fw /= root_piv[:, :, None]
     logdet_p0 = np.log(piv).sum(axis=0)
 
     # Schur complement for delta_alpha; its forward solve gives quad1 - quad0.
-    gram = fw.transpose(0, 2, 1) @ fw  # [[b0'P0^-1 b0, w0'C], [C'w0, C'C]]
-    xdt = xd.transpose(0, 2, 1)
-    ls = np.linalg.cholesky(np.linalg.inv(v_alpha) + xdt @ x - gram[:, 1:, 1:])
-    wa = np.linalg.solve(ls, xdt @ y_check[:, :, None] - gram[:, 1:, :1])
+    gram = fw.transpose(1, 2, 0) @ fw.transpose(1, 0, 2)  # [[b0'P0^-1 b0, w0'C], [C'w0, C'C]]
+    schur = _inv(v_alpha) + xd_yx[:, :, 1:] - gram[:, 1:, 1:]
+    r = xd_yx[:, :, 0] - gram[:, 1:, 0]
+    ls, lv = _cholesky(schur, 0.0), _cholesky(v_alpha, 0.0)
+    if ls is None or lv is None:
+        raise np.linalg.LinAlgError("V_alpha or a Schur complement is not positive definite")
+    wa = _solve_lower(ls, r)
     logdet_s = 2.0 * np.log(ls.diagonal(0, 1, 2)).sum(axis=1)
     if hetero is None:
-        log_k = (_log_odds_prior(common.q["alpha"])
-                 - 0.5 * (np.linalg.slogdet(v_alpha)[1] + logdet_s)
-                 + 0.5 * (wa[:, :, 0] ** 2).sum(axis=1))
+        logdet_v = 2.0 * np.log(lv.diagonal()).sum()
+        log_k = (_log_odds_prior(common.q["alpha"]) - 0.5 * (logdet_v + logdet_s)
+                 + 0.5 * (wa * wa).sum(axis=1))
         z = (u < expit(log_k)).astype(np.int64)
     else:  # a forced indicator: infinite odds, and `u` goes unused
         log_k = np.full(n, np.inf if hetero else -np.inf)
         z = np.full(n, int(hetero))
-    alpha_dev = np.linalg.solve(ls.transpose(0, 2, 1), wa + e[:, t_len:, None])
-    alpha_dev = np.where(z[:, None, None] == 1, alpha_dev, 0.0)
+    alpha_dev = np.where(z[:, None] == 1, _solve_lower(ls, wa + e[:, t_len:], trans=True), 0.0)
 
     # Back pass: states given delta_alpha, then s_0 given s_1.
-    states = (fw[:, :, 0] + e[:, :t_len] - (fw[:, :, 1:] @ alpha_dev)[:, :, 0]).T / root_piv
-    states_t, lo_t = list(states), list(lo[:, :, 0])
+    fx = (fw[:, :, 1:].transpose(1, 0, 2) @ alpha_dev[:, :, None])[:, :, 0].T
+    states = (fw[:, :, 0] + e[:, :t_len].T - fx) / root_piv
+    states_t, lo_t = list(states), list(lo)
     for t in range(t_len - 1, 0, -1):
-        states_t[t - 1] -= lo_t[t] * states_t[t]
+        states_t[t - 1] -= lo_t[t - 1] * states_t[t]
     s = np.empty((n, t_len + 1))
     s[:, 1:] = states.T
-    gain = phi * common.v_s0 / w[:, 0]
+    gain = phi * common.v_s0 / w[0]
     var_s0 = np.maximum(common.v_s0 - gain * phi * common.v_s0, 0.0)
     s[:, 0] = common.mu_s0 + gain * (s[:, 1] - phi * common.mu_s0) + np.sqrt(var_s0) * e0
-    return StateDraw(log_k, logdet_p0, logdet_p0 + logdet_s, z, alpha_dev[:, :, 0], s)
+    return StateDraw(log_k, logdet_p0, logdet_p0 + logdet_s, z, alpha_dev, s)
 
 
-def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config,
+def m2_sweep(y, x, moments: PanelMoments, common: CommonState, units: UnitState, config: M2Config,
              adapts: Dict[str, RwmhAdaptState], gen, adapt_enabled: bool = True) -> None:
-    """One full Gibbs sweep, in place. `y`, `mask` are (N, T); `x` is (N, T, k).
+    """One full Gibbs sweep, in place. `y` is (N, T) and `x` (N, T, k), zeros in
+    cells without a measurement, as `_extract_m2_arrays` leaves them; `moments`
+    are `panel_moments(mask, x)`, built once per chain.
 
     Unobserved cells contribute nothing to measurement blocks; state blocks
     always run over every period.
@@ -199,34 +227,28 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
     s_lag = units.s[:, :-1]
     s_now = units.s[:, 1:]
 
-    w_u = np.where(mask, 1.0 / (common.sigma2_u[None, :] * units.delta_sigma_u[:, None]), 0.0)
-    w_eps = 1.0 / (common.sigma2_eps[None, :] * units.delta_sigma_eps[:, None])
+    w_u = moments.maskf / (common.sigma2_u * units.delta_sigma_u[:, None])
+    w_eps_lag = s_lag / (common.sigma2_eps * units.delta_sigma_eps[:, None])
 
-    # Common regression coefficients from the measurement equation.
-    y_check = np.where(mask, y - np.einsum("itk,ik->it", x, units.delta_alpha) - s_now, 0.0)
-    xtx = np.einsum("itj,it,itk->jk", x, w_u, x)
-    xty = np.einsum("itj,it->j", x, w_u * y_check)
+    # Common regression coefficients from the measurement equation. y_dev is
+    # y less the deviations' part and the state in every cell; w_u is 0 where
+    # a cell carries no measurement.
+    y_dev = y - (x @ units.delta_alpha[:, :, None])[:, :, 0] - s_now
+    xtx = (w_u.ravel() @ moments.xx).reshape(k, k)
+    xty = (w_u * y_dev).ravel() @ x.reshape(n * t_len, k)
     prior_cov = np.atleast_2d(np.asarray(hyper.v_alpha, dtype=float))
     prior_mean = np.broadcast_to(np.asarray(hyper.mu_alpha, dtype=float), (k,))
-    draw, _, _ = update_common_regression(prior_mean, prior_cov, xtx, xty, gen)
-    common.alpha = np.atleast_1d(draw)
+    common.alpha, _, _ = update_common_regression(prior_mean, prior_cov, xtx, xty, gen)
+    x_alpha = x @ common.alpha
 
     # Common autoregressive coefficient from the state equation.
-    s_tilde = s_now - units.delta_rho[:, None] * s_lag
-    prec = float(np.sum(w_eps * s_lag**2))
-    score = float(np.sum(w_eps * s_lag * s_tilde))
-    draw, _, _ = update_common_regression(
-        np.array([hyper.mu_rho]), np.array([[hyper.v_rho]]), np.array([[prec]]),
-        np.array([score]), gen,
-    )
-    common.rho = float(draw[0])
+    prec_i = (w_eps_lag * s_lag).sum(axis=1)
+    score = float((w_eps_lag * (s_now - units.delta_rho[:, None] * s_lag)).sum())
+    v_rho = 1.0 / (1.0 / hyper.v_rho + float(prec_i.sum()))
+    common.rho = v_rho * (1.0 / hyper.v_rho * hyper.mu_rho + score) + math.sqrt(v_rho) * gen.standard_normal()
 
-    if hetero is None:
-        common.q["alpha"] = update_q(units.z["alpha"], hyper.a, hyper.b, gen)
-        common.q["rho"] = update_q(units.z["rho"], hyper.a, hyper.b, gen)
-    if hetsk:
-        common.q["sigma_u"] = update_q(units.z["sigma_u"], hyper.a, hyper.b, gen)
-        common.q["sigma_eps"] = update_q(units.z["sigma_eps"], hyper.a, hyper.b, gen)
+    for label in (("alpha", "rho") if hetero is None else ()) + (("sigma_u", "sigma_eps") if hetsk else ()):
+        common.q[label] = update_q(units.z[label], hyper.a, hyper.b, gen)
 
     common.v_delta_alpha = update_v_delta_alpha_iw(
         units.z["alpha"], units.delta_alpha, hyper.v_delta_alpha_iw, gen
@@ -234,45 +256,36 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
     common.v_delta_rho = update_v_delta_normal(
         units.z["rho"], units.delta_rho, hyper.v_delta_rho, gen
     )
-    if hetsk:
-        for label, attr in (("sigma_u", "delta_sigma_u"), ("sigma_eps", "delta_sigma_eps")):
-            prior = hyper.v_delta_sigma_u if label == "sigma_u" else hyper.v_delta_sigma_eps
-            value, _ = update_v_delta_sigma_rwmh(
-                getattr(common, "v_delta_" + label), units.z[label], getattr(units, attr), prior,
-                adapts[label], gen,
-                adapt_enabled=adapt_enabled,
-            )
-            setattr(common, "v_delta_" + label, value)
+    for label in ("sigma_u", "sigma_eps") if hetsk else ():
+        name = "v_delta_" + label
+        value, _ = update_v_delta_sigma_rwmh(getattr(common, name), units.z[label],
+                                             getattr(units, "delta_" + label), getattr(hyper, name),
+                                             adapts[label], gen, adapt_enabled=adapt_enabled)
+        setattr(common, name, value)
 
     # Autoregressive deviations from the state equation.
     if hetero is not False:
-        s_check = s_now - common.rho * s_lag
-        prec_i = (w_eps * s_lag**2).sum(axis=1)
-        score_i = (w_eps * s_lag * s_check).sum(axis=1)
+        score_i = (w_eps_lag * (s_now - common.rho * s_lag)).sum(axis=1)
         q_rho = {None: common.q["rho"], True: 1.0}[hetero]
         units.z["rho"], units.delta_rho = update_indicator_and_deviation_normal(
             q_rho, common.v_delta_rho, prec_i, score_i, gen
         )
     # Variance discrepancies, odds evaluated at the spike value.
     if hetsk:
-        resid_u = np.where(
-            mask,
-            y - np.einsum("itk,ik->it", x, common.alpha[None, :] + units.delta_alpha) - s_now,
-            0.0,
-        )
-        ssr_u = (resid_u**2 / common.sigma2_u[None, :]).sum(axis=1)
+        resid_u = (y_dev - x_alpha) * moments.maskf
         units.z["sigma_u"], units.delta_sigma_u = update_indicator_and_deviation_ig(
-            common.q["sigma_u"], common.v_delta_sigma_u, ssr_u, mask.sum(axis=1), gen
+            common.q["sigma_u"], common.v_delta_sigma_u, (resid_u * resid_u) @ (1.0 / common.sigma2_u),
+            moments.n_obs, gen
         )
         resid_eps = s_now - (common.rho + units.delta_rho)[:, None] * s_lag
-        ssr_eps = (resid_eps**2 / common.sigma2_eps[None, :]).sum(axis=1)
         units.z["sigma_eps"], units.delta_sigma_eps = update_indicator_and_deviation_ig(
-            common.q["sigma_eps"], common.v_delta_sigma_eps, ssr_eps, np.full(n, t_len), gen
+            common.q["sigma_eps"], common.v_delta_sigma_eps,
+            (resid_eps * resid_eps) @ (1.0 / common.sigma2_eps), t_len, gen
         )
 
     # States and alpha deviations; the noise is drawn in fixed-size arrays.
     draw = draw_states_and_alpha_deviation(
-        y, x, mask, common, units, hetero,
+        y, x, moments.maskf, common, units, hetero,
         gen.random(n), gen.standard_normal((n, t_len + k)), gen.standard_normal(n),
     )
     units.z["alpha"][:], units.delta_alpha[:], units.s[:] = draw.z, draw.delta_alpha, draw.s
@@ -280,24 +293,18 @@ def m2_sweep(y, x, mask, common: CommonState, units: UnitState, config: M2Config
     # Initial-state hyperparameters.
     s0 = units.s[:, 0]
     v_bar = 1.0 / (1.0 / hyper.mu_s0_var + n / common.v_s0)
-    m_bar = v_bar * (hyper.mu_s0_mean / hyper.mu_s0_var + s0.sum() / common.v_s0)
-    common.mu_s0 = float(m_bar + np.sqrt(v_bar) * gen.standard_normal())
-    common.v_s0 = float(sample_inverse_gamma(
-        hyper.v_s0.nu + n, hyper.v_s0.tau + float(np.sum((s0 - common.mu_s0) ** 2)), gen))
+    m_bar = v_bar * (hyper.mu_s0_mean / hyper.mu_s0_var + float(s0.sum()) / common.v_s0)
+    common.mu_s0 = m_bar + math.sqrt(v_bar) * gen.standard_normal()
+    dev = s0 - common.mu_s0
+    common.v_s0 = float(sample_inverse_gamma(hyper.v_s0.nu + n, hyper.v_s0.tau + float(dev @ dev), gen))
 
-    # Period variances.
-    resid_u = np.where(
-        mask,
-        y - np.einsum("itk,ik->it", x, common.alpha[None, :] + units.delta_alpha)
-        - units.s[:, 1:],
-        0.0,
-    )
-    resid_eps = units.s[:, 1:] - (common.rho + units.delta_rho)[:, None] * units.s[:, :-1]
-    n_t = mask.sum(axis=0).astype(float)
-    ssr_u_t = (resid_u**2 / units.delta_sigma_u[:, None]).sum(axis=0)
-    ssr_eps_t = (resid_eps**2 / units.delta_sigma_eps[:, None]).sum(axis=0)
+    # Period variances (s_lag and s_now now view the new states).
+    resid_u = (y - x_alpha - (x @ units.delta_alpha[:, :, None])[:, :, 0] - s_now) * moments.maskf
+    resid_eps = s_now - (common.rho + units.delta_rho)[:, None] * s_lag
+    ssr_u_t = (1.0 / units.delta_sigma_u) @ (resid_u * resid_u)
+    ssr_eps_t = (1.0 / units.delta_sigma_eps) @ (resid_eps * resid_eps)
     # IG((nu + count)/2, (tau + ssr)/2) for every period in one draw
-    common.sigma2_u = sample_inverse_gamma(hyper.sigma2_u.nu + n_t, hyper.sigma2_u.tau + ssr_u_t, gen)
+    common.sigma2_u = sample_inverse_gamma(hyper.sigma2_u.nu + moments.n_t, hyper.sigma2_u.tau + ssr_u_t, gen)
     common.sigma2_eps = sample_inverse_gamma(hyper.sigma2_eps.nu + n, hyper.sigma2_eps.tau + ssr_eps_t,
                                              gen)
 
@@ -332,8 +339,9 @@ def run_m2(data: PanelData, config: M2Config, rng) -> ChainOutput:
     common, units = init_m2_state(n, t_len, k, config)
     adapts = {"sigma_u": RwmhAdaptState(), "sigma_eps": RwmhAdaptState()}
     recorder = DrawRecorder(config.n_draws, config.burn_in, config.thin, config.store_unit_draws)
+    moments = panel_moments(mask, x)
     for j in range(config.n_draws):
-        m2_sweep(y, x, mask, common, units, config, adapts, gen, adapt_enabled=j < config.burn_in)
+        m2_sweep(y, x, moments, common, units, config, adapts, gen, adapt_enabled=j < config.burn_in)
         if not recorder.keeps(j):
             continue
         draw = {"alpha": common.alpha, "rho": common.rho, "sigma2_u": common.sigma2_u,

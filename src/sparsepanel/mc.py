@@ -100,6 +100,13 @@ class RiskTable:
                     writer.writerow(row)
         return buf.getvalue()
 
+    def check_failures(self) -> None:
+        """Raise if an estimator failed more than 5% of a cell's replications."""
+        for (q, v, est), n_failed in self.failed.items():
+            if n_failed > 0.05 * self.design.n_sim:
+                raise RuntimeError(f"estimator {est!r} failed {n_failed}/{self.design.n_sim} "
+                                   f"replications in cell q={q}, v={v}")
+
     def write(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -187,14 +194,9 @@ def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
         for est, (loss, finite) in losses.items():
             n_failed = design.n_sim - int(finite.sum())
             failed[(q, v, est)] = n_failed
-            if n_failed > 0.05 * design.n_sim:
-                raise RuntimeError(
-                    f"estimator {est!r} failed {n_failed}/{design.n_sim} replications "
-                    f"in cell q={q}, v={v}"
-                )
             for target in TARGETS:
                 vals = loss[target][finite]
-                risks[(q, v, est, target)] = float(vals.mean())
+                risks[(q, v, est, target)] = float(vals.mean()) if vals.size else np.nan
                 stderrs[(q, v, est, target)] = (
                     float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
                 )

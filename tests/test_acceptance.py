@@ -76,7 +76,9 @@ V_GRID = (0.05, 0.5)
 def risk_table_homosk():
     design = MCDesign(model="m1_homosk", q_grid=Q_GRID, v_delta_alpha_grid=V_GRID,
                       estimators=("ss", "q0", "oracle"), **RISK_SCALE)
-    return run_experiment(design, seed=7)
+    table = run_experiment(design, seed=7)
+    table.check_failures()  # an estimator failing over 5% of a cell's replications ends the criteria
+    return table
 
 
 def test_criterion_1a_oracle_weakly_beats_spike_slab(risk_table_homosk):
@@ -165,7 +167,9 @@ def test_criterion_1c_no_heterogeneity_risk_near_zero(risk_table_homosk):
 def risk_table_hetsk():
     design = MCDesign(model="m1_hetsk", q_grid=(0.4, 1.0), v_delta_alpha_grid=V_GRID,
                       estimators=("ss", "ss_homosk_misspec"), **RISK_SCALE)
-    return run_experiment(design, seed=11)
+    table = run_experiment(design, seed=11)
+    table.check_failures()
+    return table
 
 
 def test_criterion_2_heteroskedastic_model_weakly_beats_misspecified(risk_table_hetsk):

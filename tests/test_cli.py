@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from sparsepanel import cli
+from sparsepanel import cli, mc
 from sparsepanel.cli import _default_m2_truth, main, validate_config
 from sparsepanel.forecast import predict, write_fan_chart
 from sparsepanel.m2 import run_m2_individual
@@ -178,6 +178,33 @@ def test_montecarlo_command(tmp_path, capsys):
     assert "2 chains x 2 replications" in err and "sweeps/s" in err
 
 
+def test_montecarlo_failure_writes_the_table_then_exits_1(tmp_path, capsys, monkeypatch):
+    # One of two replications blows up: more than 5% of the cell fails, yet
+    # the risk table and the failure counts are written before the exit.
+    simulate = mc.simulate_m1
+
+    def blow_up_replication_1(theta, hyper, n, t, stream, **kwargs):
+        data, truth = simulate(theta, hyper, n, t, stream, **kwargs)
+        return (replace(data, y=data.y * 1e300) if stream.key[-2] == 1 else data), truth
+
+    monkeypatch.setattr(mc, "simulate_m1", blow_up_replication_1)
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({
+        "n": 12, "t": 8, "n_sim": 2, "q_grid": [0.4], "v_delta_alpha_grid": [0.5],
+        "estimators": ["ss", "q0"],
+    }))
+    out_dir = tmp_path / "mc"
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(
+            ["montecarlo", "--design", str(design), "--draws", "60", "--burnin", "30",
+             "--seed", "2", "--out", str(out_dir)], capsys)
+    assert code == 1 and out == ""
+    assert "error: estimator 'ss' failed 1/2 replications in cell q=0.4, v=0.5" in err
+    assert (out_dir / "risk_table.csv").exists()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["failed_replications"] == {"q=0.4,v=0.5,ss": 1, "q=0.4,v=0.5,q0": 1}
+
+
 def test_forecast_command(tmp_path, capsys):
     sim = tmp_path / "sim"
     run_cli(["simulate", "--model", "m2", "--n", "6", "--t", "5", "--seed", "3",
@@ -212,6 +239,24 @@ def test_bad_horizons_exit_2(horizons, message, tmp_path, capsys):
 def test_config_file_horizons_must_be_integers():
     _, errors, _ = validate_config({"command": "forecast", "model": "m2", "horizons": [1.5, 2]})
     assert any(e.startswith("horizons: must be comma-separated integers") for e in errors)
+
+
+@pytest.mark.parametrize("horizons, code", [("1,2", 0), ("1,x", 2)])
+def test_config_file_horizons_string_is_split_on_commas(horizons, code, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli(["simulate", "--model", "m2", "--n", "4", "--t", "4", "--out", str(sim)], capsys)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"horizons": horizons}))
+    got, out, err = run_cli(
+        ["forecast", "--model", "m2", "--data", str(sim / "panel.csv"), "--draws", "20",
+         "--burnin", "10", "--config", str(config), "--out", str(tmp_path / "fc")], capsys)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["horizons"] == [1, 2]
+        rows = (tmp_path / "fc" / "fan_chart.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"1", "2"}
+    else:
+        assert "error: horizons: must be comma-separated integers, got '1,x'" in err
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -203,3 +203,18 @@ def test_batch_with_one_bad_element_raises(k):
         sample_mv_normal(mean, asymmetric, np.random.default_rng(0))
     with pytest.raises(MatrixDomainError, match="after jitter"):
         sample_mv_normal(mean, indefinite, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_factor_and_triangular_solves_match_lapack(k):
+    gen = np.random.default_rng(90)
+    cov = np.array([random_spd(gen, k, 1e-3) for _ in range(6)])
+    b = gen.normal(size=(len(cov), k))
+    lower = distributions._cholesky(cov, 0.0)
+    np.testing.assert_allclose(lower, np.linalg.cholesky(cov), rtol=1e-13, atol=1e-15)
+    for trans in (False, True):
+        want = np.linalg.solve(lower.swapaxes(1, 2) if trans else lower, b[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(distributions._solve_lower(lower, b, trans), want, rtol=1e-12)
+    cov[2] = np.diag([1.0] * (k - 1) + [-1e-3])
+    with np.errstate(invalid="ignore"):
+        assert distributions._cholesky(cov, 0.0) is None

@@ -165,3 +165,4 @@ def test_non_finite_replication_fails_alone(monkeypatch):
         for target in ("alpha", "rho"):
             np.testing.assert_array_equal(loss[target][ok], clean_loss[target][ok])
         assert table.failed[(0.4, 0.5, est)] == 1
+    table.check_failures()  # 1 of 20 is within the 5% rule
