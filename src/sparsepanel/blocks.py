@@ -126,15 +126,19 @@ class UnitState:
     s: Optional[np.ndarray] = None  # states, shape (N, T+1) with column 0 = s_0
 
 
+# Step-size adaptation of `update_v_delta_sigma_rwmh`: target acceptance rate,
+# decay exponent of the gain, and bound on |log step|.
+RWMH_TARGET_ACCEPT = 0.44
+RWMH_GAIN_EXPONENT = 0.55
+RWMH_LOG_STEP_CAP = 10.0
+
+
 @dataclass
 class RwmhAdaptState:
     """Step-size adaptation bookkeeping for the random-walk variance update."""
 
     log_step: Union[float, np.ndarray] = 0.0
     iteration: int = 0
-    target_accept: float = 0.44
-    exponent_p: float = 0.55
-    cap: float = 10.0
     accepted: Union[int, np.ndarray] = 0
     proposed: int = 0
 
@@ -265,7 +269,7 @@ def update_v_delta_sigma_rwmh(omega, z, deltas, prior: InverseGammaSpec, adapt: 
     The proposal is a zero-truncated Normal centered at the current value; the
     acceptance ratio carries the truncation correction ln Phi(prop/c) - ln Phi(cur/c).
     When adaptation is enabled, the log step size moves toward the target
-    acceptance rate with a decaying gain, clipped at +-cap.
+    acceptance rate with a decaying gain, clipped at +-RWMH_LOG_STEP_CAP.
     """
 
     def step(gen, omega, c, psi, total):
@@ -286,6 +290,6 @@ def update_v_delta_sigma_rwmh(omega, z, deltas, prior: InverseGammaSpec, adapt: 
     adapt.proposed += 1
     adapt.accepted = adapt.accepted + np.asarray(accepted, dtype=np.int64)
     if adapt_enabled:
-        raw = adapt.log_step + adapt.iteration ** (-adapt.exponent_p) * (accept_prob - adapt.target_accept)
-        adapt.log_step = np.sign(raw) * np.minimum(np.abs(raw), adapt.cap)
+        raw = adapt.log_step + adapt.iteration ** (-RWMH_GAIN_EXPONENT) * (accept_prob - RWMH_TARGET_ACCEPT)
+        adapt.log_step = np.sign(raw) * np.minimum(np.abs(raw), RWMH_LOG_STEP_CAP)
     return omega, adapt

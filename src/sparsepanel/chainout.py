@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +86,8 @@ class ChainOutput:
         return out
 
     def to_dir(self, path) -> None:
-        """Write draws as CSV files plus a JSON manifest with a content hash."""
+        """Write draws as CSV files plus a JSON manifest with a content hash of
+        the CSVs, the diagnostics and the `summaries()` of the common draws."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         digest = hashlib.sha256()
@@ -107,15 +109,29 @@ class ChainOutput:
             (path / fname).write_text(text, encoding="utf-8")
             digest.update(text.encode())
             written.append(fname)
+
+        def finite(v):  # NaN (an acceptance rate with no proposals) is not JSON; write null
+            return v if np.isfinite(v) else None
+
         write_manifest(path / "manifest.json", {
             "config": self.config,
-            # NaN (an acceptance rate with no proposals) is not JSON; write null
-            "diagnostics": {k: v if np.isfinite(v) else None
-                            for k, v in self.diagnostics.items()},
+            "diagnostics": {k: finite(v) for k, v in self.diagnostics.items()},
+            "summaries": {name: {k: finite(v) for k, v in stats.items()}
+                          for name, stats in self.summaries().items()},
             "files": written,
             "unit_ids": list(self.unit_ids),
             "content_sha256": digest.hexdigest(),
         })
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a table in the package's one CSV format: UTF-8, LF line ends,
+    floats to 17 significant digits (they read back exactly), any other
+    cell as its str()."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_manifest(path, manifest: Dict) -> None:

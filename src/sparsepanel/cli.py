@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from sparsepanel import __version__
 from sparsepanel.blocks import CommonState, HyperParams
-from sparsepanel.chainout import write_manifest
+from sparsepanel.chainout import ConfigurationError, write_manifest
 from sparsepanel.forecast import (
     SCENARIOS,
     inequality_decomposition,
@@ -36,7 +36,29 @@ from sparsepanel.mc import MCDesign, run_experiment
 from sparsepanel.panel import load_panel, simulate_m1, simulate_m2, write_panel
 from sparsepanel.rng import RngStream
 
-COMMANDS = ("simulate", "estimate", "montecarlo", "forecast", "decompose")
+# The RunConfig fields each command reads, each also a flag of that command.
+# A config file may set any field for any command, so that one file serves a
+# whole workflow; a command ignores the fields it does not read.
+_CHAIN_FIELDS = ("model", "variant", "data", "draws", "burnin", "thin", "seed", "out")
+COMMAND_FIELDS = {
+    "simulate": ("model", "n", "t", "seed", "out"),
+    "estimate": _CHAIN_FIELDS,
+    "montecarlo": ("design", "nsim", "draws", "burnin", "seed", "threads", "out"),
+    "forecast": _CHAIN_FIELDS + ("scenario", "horizons"),
+    "decompose": ("seed", "out"),
+}
+COMMANDS = tuple(COMMAND_FIELDS)
+
+# Smallest value of each integer setting but the seed (nsim may also be unset).
+_MINIMUM = {"draws": 1, "burnin": 0, "thin": 1, "threads": 1, "nsim": 1, "n": 1, "t": 1}
+
+# argparse options of the flags that are not free strings
+_FLAG_OPTIONS = {
+    "model": {"choices": ("m1", "m2")},
+    "scenario": {"choices": SCENARIOS},
+    "horizons": {"help": "comma-separated, e.g. 1,2,3"},
+    **{name: {"type": int} for name in (*_MINIMUM, "seed")},
+}
 
 # Every command draws from RngStream(seed, <purpose>) with one of these
 # purposes; the single-unit models of all units run as one chain on
@@ -48,10 +70,16 @@ PREDICT_STREAM = 3
 UNIT_CHAINS_STREAM = 4
 DECOMPOSE_STREAM = 5
 
+# Design-file keys: MCDesign's fields but the two JSON cannot express, and
+# those of them that hold lists.
+_DESIGN_KEYS = tuple(f for f in MCDesign.__dataclass_fields__ if f not in ("theta", "hyper"))
+_DESIGN_LISTS = ("q_grid", "v_delta_alpha_grid", "estimators")
+
 
 @dataclass
 class RunConfig:
-    """Fully resolved settings for one command invocation."""
+    """Fully resolved settings for one command invocation; a command reads
+    only its `COMMAND_FIELDS` and `extra`."""
 
     command: str
     model: str = "m1"
@@ -73,7 +101,8 @@ class RunConfig:
 
 
 def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[str]]:
-    """Resolve defaults and check constraints, collecting every error.
+    """Resolve defaults and check the settings the command reads, collecting
+    every error. Keys that are no RunConfig field go to `extra`.
 
     Returns (run_config_or_None, errors, warnings).
     """
@@ -84,65 +113,92 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
     if command not in COMMANDS:
         errors.append(f"command: {command!r} is not one of {COMMANDS}")
         return None, errors, warnings
-    known = {f for f in RunConfig.__dataclass_fields__ if f not in ("command", "extra")}
-    extra = {k: cfg.pop(k) for k in list(cfg) if k not in known}
-    rc = RunConfig(command=command, **cfg)
-    rc.extra = extra
+    fields = COMMAND_FIELDS[command]
+    extra = {k: v for k, v in cfg.items() if k not in RunConfig.__dataclass_fields__}
+    rc = RunConfig(command=command, extra=extra, **{k: cfg[k] for k in fields if k in cfg})
 
-    if rc.model not in ("m1", "m2"):
-        errors.append(f"model: {rc.model!r} is not one of ('m1', 'm2')")
-    else:
-        variants = M1_VARIANTS if rc.model == "m1" else M2_VARIANTS
-        if rc.variant is None:
-            rc.variant = "ss_homosk" if rc.model == "m1" else "baseline"
-        elif rc.variant not in variants:
-            errors.append(f"variant: {rc.variant!r} is not one of {variants} for model {rc.model}")
-    try:  # through str, so that a config file's 1.5 is rejected, not truncated
-        parts = rc.horizons.split(",") if isinstance(rc.horizons, str) else rc.horizons
-        horizons = rc.horizons = tuple(int(str(h)) for h in parts)
-    except (TypeError, ValueError):
-        horizons = None
-        errors.append(f"horizons: must be comma-separated integers, got {rc.horizons!r}")
-    if rc.draws < 1:
-        errors.append("draws: must be >= 1")
-    if rc.burnin < 0:
-        errors.append("burnin: must be >= 0")
-    if rc.burnin >= rc.draws:
+    if "model" in fields:
+        if rc.model not in ("m1", "m2"):
+            errors.append(f"model: {rc.model!r} is not one of ('m1', 'm2')")
+        elif "variant" in fields:
+            variants = M1_VARIANTS if rc.model == "m1" else M2_VARIANTS
+            if rc.variant is None:
+                rc.variant = "ss_homosk" if rc.model == "m1" else "baseline"
+            elif rc.variant not in variants:
+                errors.append(f"variant: {rc.variant!r} is not one of {variants} for model {rc.model}")
+    bad = set()
+    for name in fields:
+        value, lowest = getattr(rc, name), _MINIMUM.get(name)
+        if lowest is None or (name == "nsim" and value is None):
+            continue
+        if not (isinstance(value, int) and value >= lowest):
+            errors.append(f"{name}: must be an integer >= {lowest}, got {value!r}")
+            bad.add(name)
+    if "burnin" in fields and not bad & {"draws", "burnin"} and rc.burnin >= rc.draws:
         errors.append(f"burnin: must be smaller than draws (burnin={rc.burnin}, draws={rc.draws})")
-    if rc.thin < 1:
-        errors.append("thin: must be >= 1")
-    if rc.threads < 1:
-        errors.append("threads: must be >= 1")
-    if rc.n < 1:
-        errors.append("n: must be >= 1")
-    if rc.t < 1:
-        errors.append("t: must be >= 1")
     if not (isinstance(rc.seed, int) and 0 <= rc.seed < 2**64):
         errors.append(f"seed: must be an integer in [0, 2**64), got {rc.seed!r}")
-    if command in ("estimate", "forecast"):
+    if "data" in fields:
         if rc.data is None:
             errors.append(f"data: required for the {command} command")
         elif not Path(rc.data).exists():
             errors.append(f"data: path {rc.data!r} does not exist")
-    if command == "montecarlo":
-        if rc.design is not None and not Path(rc.design).exists():
-            errors.append(f"design: path {rc.design!r} does not exist")
-        if rc.nsim is not None and rc.nsim < 1:
-            errors.append("nsim: must be >= 1")
-    if command == "forecast":
-        if rc.scenario not in SCENARIOS:
-            errors.append(f"scenario: {rc.scenario!r} is not one of {SCENARIOS}")
-        if horizons is not None and not (horizons and min(horizons) >= 1
-                                         and len(set(horizons)) == len(horizons)):
-            errors.append(f"horizons: must be distinct positive integers, got {list(horizons)}")
-        if rc.model != "m2":
-            errors.append("model: forecasting requires model m2")
+    if "design" in fields and rc.design is not None and not Path(rc.design).exists():
+        errors.append(f"design: path {rc.design!r} does not exist")
+    if "scenario" in fields and rc.scenario not in SCENARIOS:
+        errors.append(f"scenario: {rc.scenario!r} is not one of {SCENARIOS}")
+    if "horizons" in fields:
+        try:  # through str, so that a config file's 1.5 is rejected, not truncated
+            parts = rc.horizons.split(",") if isinstance(rc.horizons, str) else rc.horizons
+            rc.horizons = tuple(int(str(h)) for h in parts)
+        except (TypeError, ValueError):
+            errors.append(f"horizons: must be comma-separated integers, got {rc.horizons!r}")
+        else:
+            if not (rc.horizons and min(rc.horizons) >= 1 and len(set(rc.horizons)) == len(rc.horizons)):
+                errors.append(f"horizons: must be distinct positive integers, got {list(rc.horizons)}")
+    if command == "forecast" and rc.model != "m2":
+        errors.append("model: forecasting requires model m2")
+    if command == "montecarlo" and not errors:
+        errors += _mc_design(rc)[1]
     if rc.variant == "rip" and any(k in extra for k in ("q_alpha", "q_alpha_prior")):
         warnings.append("variant rip pins the coefficient inclusion probability to 0; "
                         "the supplied q_alpha prior setting is ignored")
     if errors:
         return None, errors, warnings
     return rc, errors, warnings
+
+
+def _mc_design(rc: RunConfig) -> Tuple[Optional[MCDesign], List[str]]:
+    """The design of a `montecarlo` run: the design file's entries over
+    MCDesign's defaults, `nsim` over the file's n_sim, and `draws` and
+    `burnin` where the file sets no chain length. Returns (design or None,
+    errors), each error naming the design key at fault."""
+    kwargs = {}
+    if rc.design is not None:
+        try:
+            kwargs = json.loads(Path(rc.design).read_text())
+        except (OSError, ValueError) as exc:
+            return None, [f"design: cannot read {rc.design!r}: {exc}"]
+        if not isinstance(kwargs, dict):
+            return None, [f"design: {rc.design!r} must hold a JSON object"]
+    errors = []
+    for key, value in kwargs.items():
+        if key in ("theta", "hyper"):
+            errors.append(f"design: key {key!r} cannot be set in a design file")
+        elif key not in _DESIGN_KEYS:
+            errors.append(f"design: unknown key {key!r}, expected one of {_DESIGN_KEYS}")
+        elif key in _DESIGN_LISTS and not isinstance(value, list):
+            errors.append(f"design: key {key!r} must be a list, got {value!r}")
+    if errors:
+        return None, errors
+    if rc.nsim is not None:
+        kwargs["n_sim"] = rc.nsim
+    kwargs.setdefault("n_draws", rc.draws)
+    kwargs.setdefault("burn_in", rc.burnin)
+    try:
+        return MCDesign(**{k: tuple(v) if k in _DESIGN_LISTS else v for k, v in kwargs.items()}), []
+    except (ConfigurationError, TypeError) as exc:
+        return None, [f"design: {exc}"]
 
 
 def _threads_default() -> int:
@@ -158,39 +214,21 @@ def _threads_default() -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsepanel")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for command, fields in COMMAND_FIELDS.items():
+        p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--model", choices=("m1", "m2"))
-        p.add_argument("--variant")
-        p.add_argument("--data")
-        p.add_argument("--draws", type=int)
-        p.add_argument("--burnin", type=int)
-        p.add_argument("--thin", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out")
-        p.add_argument("--design")
-        p.add_argument("--nsim", type=int)
-        p.add_argument("--horizons", help="comma-separated, e.g. 1,2,3")
-        p.add_argument("--scenario", choices=SCENARIOS)
-        p.add_argument("--n", type=int)
-        p.add_argument("--t", type=int)
+        for name in fields:
+            p.add_argument("--" + name, **_FLAG_OPTIONS.get(name, {}))
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> Dict:
-    cfg: Dict = {}
-    if args.config:
-        cfg.update(json.loads(Path(args.config).read_text()))
-    for name in ("model", "variant", "data", "draws", "burnin", "thin", "seed",
-                 "threads", "out", "design", "nsim", "scenario", "n", "t"):
-        val = getattr(args, name, None)
-        if val is not None:
-            cfg[name] = val
-    if getattr(args, "horizons", None) is not None:
-        cfg["horizons"] = args.horizons
-    if "threads" not in cfg:
+    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{args.config!r} must hold a JSON object")
+    fields = COMMAND_FIELDS[args.command]
+    cfg.update({name: getattr(args, name) for name in fields if getattr(args, name) is not None})
+    if "threads" in fields and "threads" not in cfg:
         cfg["threads"] = _threads_default()
     cfg["command"] = args.command
     return cfg
@@ -202,7 +240,7 @@ def _progress(msg: str) -> None:
 
 def _write_manifest(out_dir: Path, rc: RunConfig, wall_time: float, outputs: List[str]) -> None:
     write_manifest(out_dir / "run_manifest.json", {
-        "config": {k: v for k, v in asdict(rc).items() if k != "extra"},
+        "config": {k: getattr(rc, k) for k in ("command",) + COMMAND_FIELDS[rc.command]},
         "seed": rc.seed,
         "versions": {
             "sparsepanel": __version__,
@@ -212,10 +250,6 @@ def _write_manifest(out_dir: Path, rc: RunConfig, wall_time: float, outputs: Lis
         "wall_time_seconds": round(wall_time, 3),
         "outputs": outputs,
     })
-
-
-def _default_m1_truth() -> CommonState:
-    return MCDesign(model="m1_homosk").theta
 
 
 def _default_m2_truth(t: int) -> CommonState:
@@ -236,14 +270,15 @@ def _default_m2_truth(t: int) -> CommonState:
     )
 
 
-def _theta_from_config(rc: RunConfig) -> CommonState:
-    theta = _default_m1_truth() if rc.model == "m1" else _default_m2_truth(rc.t)
-    for name, val in rc.extra.get("theta", {}).items():
+def _theta_from_config(model: str, t: int, extra: Dict) -> CommonState:
+    """The default truth of `model` over `t` periods, with the config file's `theta` entries."""
+    theta = MCDesign(model="m1_homosk").theta if model == "m1" else _default_m2_truth(t)
+    for name, val in extra.get("theta", {}).items():
         if name == "q":
             theta.q.update(val)
         elif name in ("sigma2_u", "sigma2_eps") and np.isscalar(val):
-            setattr(theta, name, np.full(rc.t, float(val)))
-        elif name in ("alpha", "v_delta_alpha") and rc.model == "m2":
+            setattr(theta, name, np.full(t, float(val)))
+        elif name in ("alpha", "v_delta_alpha") and model == "m2":
             setattr(theta, name, np.asarray(val, dtype=float))
         else:
             setattr(theta, name, val)
@@ -252,7 +287,7 @@ def _theta_from_config(rc: RunConfig) -> CommonState:
 
 def _cmd_simulate(rc: RunConfig) -> Dict:
     rng = RngStream(rc.seed, SIMULATE_STREAM)
-    theta = _theta_from_config(rc)
+    theta = _theta_from_config(rc.model, rc.t, rc.extra)
     if rc.model == "m1":
         hetsk = bool(rc.extra.get("heteroskedastic", False))
         data, _ = simulate_m1(theta, HyperParams.m1_defaults(), rc.n, rc.t, rng,
@@ -286,17 +321,7 @@ def _cmd_estimate(rc: RunConfig) -> Dict:
 
 
 def _cmd_montecarlo(rc: RunConfig) -> Dict:
-    design_kwargs = {}
-    if rc.design:
-        design_kwargs = json.loads(Path(rc.design).read_text())
-    if rc.nsim is not None:
-        design_kwargs["n_sim"] = rc.nsim
-    design_kwargs.setdefault("n_draws", rc.draws)
-    design_kwargs.setdefault("burn_in", rc.burnin)
-    for key in ("q_grid", "v_delta_alpha_grid", "estimators"):
-        if key in design_kwargs:
-            design_kwargs[key] = tuple(design_kwargs[key])
-    design = MCDesign(**design_kwargs)
+    design, _ = _mc_design(rc)  # validate_config found no error in it
     n_cells = len(design.q_grid) * len(design.v_delta_alpha_grid)
     table = run_experiment(
         design, seed=rc.seed, threads=rc.threads,
@@ -329,11 +354,9 @@ def _cmd_forecast(rc: RunConfig) -> Dict:
 
 
 def _cmd_decompose(rc: RunConfig) -> Dict:
-    rc.model = "m2"
     n = rc.extra.get("cohort_size", 10_000)
     t = rc.extra.get("cohort_periods", 20)
-    rc.t = t
-    theta = _theta_from_config(rc)
+    theta = _theta_from_config("m2", t, rc.extra)
     result = inequality_decomposition(theta, n=n, t=t, rng=RngStream(rc.seed, DECOMPOSE_STREAM))
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not an object
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     rc, errors, warnings = validate_config(cfg)

@@ -24,7 +24,7 @@ class MatrixDomainError(ValueError):
 
 @dataclass(frozen=True)
 class InverseGammaSpec:
-    """IG(nu/2, tau/2). Mean tau/(nu-2) for nu > 2; variance exists for nu > 4."""
+    """IG(nu/2, tau/2), with mean tau/(nu-2) for nu > 2."""
 
     nu: float
     tau: float
@@ -38,14 +38,6 @@ class InverseGammaSpec:
         if self.nu <= 2:
             raise ParameterDomainError(f"IG mean undefined for nu={self.nu} <= 2")
         return self.tau / (self.nu - 2.0)
-
-    @property
-    def variance(self) -> float:
-        if self.nu <= 4:
-            raise ParameterDomainError(f"IG variance undefined for nu={self.nu} <= 4")
-        a = self.nu / 2.0
-        b = self.tau / 2.0
-        return b * b / ((a - 1.0) ** 2 * (a - 2.0))
 
     def draw(self, rng, size=None):
         return sample_inverse_gamma(self.nu, self.tau, rng, size)

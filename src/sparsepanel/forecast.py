@@ -10,16 +10,13 @@ the average over draws of the Normal density implied by each draw.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from sparsepanel.blocks import CommonState
-from sparsepanel.chainout import ChainOutput
+from sparsepanel.chainout import ChainOutput, write_csv
 from sparsepanel.panel import M2_BLOCKS, PanelData, draw_unit_deviations, m2_forward
 from sparsepanel.rng import as_generator
 
@@ -300,39 +297,24 @@ def inequality_decomposition(theta: CommonState, n: int = 10_000, t: int = 20,
 FAN_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
-def write_fan_chart(pred: PredictiveDraws, out_path,
-                    quantiles: Sequence[float] = FAN_QUANTILES) -> None:
-    """Plot-ready long-format CSV: unit, horizon, quantile, value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit", "horizon", "quantile", "value"])
-    for j, h in enumerate(pred.horizons):
-        qs = np.quantile(pred.draws[:, :, j], quantiles, axis=0)
-        for i, unit in enumerate(pred.unit_ids):
-            for qi, q in enumerate(quantiles):
-                writer.writerow([unit, h, format(q, "g"), format(qs[qi, i], ".17g")])
-    Path(out_path).write_text(buf.getvalue())
+def write_fan_chart(pred: PredictiveDraws, out_path) -> None:
+    """Plot-ready long-format CSV: unit, horizon, quantile (FAN_QUANTILES), value."""
+    qs = np.quantile(pred.draws, FAN_QUANTILES, axis=0)  # (quantile, unit, horizon)
+    write_csv(out_path, ["unit", "horizon", "quantile", "value"], (
+        [unit, h, format(q, "g"), qs[qi, i, j]]
+        for j, h in enumerate(pred.horizons) for i, unit in enumerate(pred.unit_ids)
+        for qi, q in enumerate(FAN_QUANTILES)))
 
 
 def write_scores(reports: Dict[str, ScoreReport], out_path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", "mse", "lps", "zero_density_units"])
-    for name, rep in reports.items():
-        writer.writerow([name, format(rep.mse, ".17g"), format(rep.lps, ".17g"),
-                         ";".join(rep.zero_density_units)])
-    Path(out_path).write_text(buf.getvalue())
+    write_csv(out_path, ["scenario", "mse", "lps", "zero_density_units"],
+              ([name, rep.mse, rep.lps, ";".join(rep.zero_density_units)]
+               for name, rep in reports.items()))
 
 
 def write_decomposition(result: DecompositionResult, out_path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "v_baseline", "v_no_alpha_dev", "v_no_transitory",
-                     "alpha_share", "transitory_share"])
-    for step in range(result.v_baseline.size):
-        writer.writerow([step + 1] + [
-            format(arr[step], ".17g")
-            for arr in (result.v_baseline, result.v_no_alpha_dev, result.v_no_transitory,
-                        result.alpha_share, result.transitory_share)
-        ])
-    Path(out_path).write_text(buf.getvalue())
+    columns = (result.v_baseline, result.v_no_alpha_dev, result.v_no_transitory,
+               result.alpha_share, result.transitory_share)
+    write_csv(out_path, ["t", "v_baseline", "v_no_alpha_dev", "v_no_transitory",
+                         "alpha_share", "transitory_share"],
+              ([step + 1] + [arr[step] for arr in columns] for step in range(result.v_baseline.size)))

@@ -116,11 +116,14 @@ class UnitMoments:
     from the unit means of L and y and their centred cross products, which
     stay accurate on panels far from zero, where uncentred sums cancel.
     `y0` and `Y` may carry a leading replication axis, (R, N) and (R, N, T).
+    `shape` is (R*N,), so that `np.shape` of the moments counts the unit
+    series a sweep updates (perfbench/tracer.py reads it so).
     """
 
     def __init__(self, y0, Y):
         L = np.concatenate([y0[..., None], Y[..., :-1]], axis=-1)
         self.t = Y.shape[-1]
+        self.shape = (y0.size,)
         self.sum_l = L.sum(axis=-1)
         self.sum_ll = (L * L).sum(axis=-1)
         self.mean_l = self.sum_l / self.t
@@ -165,22 +168,18 @@ def _draw_joint_deviations(moments: UnitMoments, alpha, rho, w, v_alpha, v_rho, 
     return mean_a + c11 * e1, mean_r + c21 * e1 + c22 * e2
 
 
-def m1_sweep(y0, Y, common: CommonState, units: UnitState, config: M1Config, adapt, gen,
-             fixed_common: bool = False, adapt_enabled: bool = True,
-             moments: Optional[UnitMoments] = None) -> None:
-    """One full Gibbs sweep, updating `common` and `units` in place.
+def m1_sweep(config: M1Config, m: UnitMoments, common: CommonState, units: UnitState, adapt, gen,
+             fixed_common: bool = False, adapt_enabled: bool = True) -> None:
+    """One full Gibbs sweep, updating `common` and `units` in place; the
+    panel enters only through its `UnitMoments` `m`.
 
     With a list of R generators it sweeps R replications at once (see
-    `blocks`): common parameters and `adapt.log_step` are (R,), unit arrays
-    (R, N), and `y0` and `Y` stack the panels, (R*N,) and (R*N, T).
-    With `fixed_common` only the per-unit indicator/deviation blocks run,
-    which is the posterior used by the known-truth reference estimator.
-    `moments` are the `UnitMoments` a chain builds once; without them
-    the sweep builds its own, as a chain that redraws Y every sweep needs.
+    `blocks`): common parameters and `adapt.log_step` are (R,), and unit
+    arrays and moments (R, N). With `fixed_common` only the per-unit
+    indicator/deviation blocks run, which is the posterior used by the
+    known-truth reference estimator.
     """
     hyper = config.hyper
-    shape = units.delta_alpha.shape
-    m = UnitMoments(np.reshape(y0, shape), np.reshape(Y, shape + (-1,))) if moments is None else moments
     t = m.t
     hetsk = config.heteroskedastic
     ss = config.variant in ("ss_homosk", "ss_hetsk")
@@ -249,7 +248,7 @@ def m1_sweep(y0, Y, common: CommonState, units: UnitState, config: M1Config, ada
 
     if not fixed_common:
         ssr_scaled = (ssr / units.delta_sigma).sum(axis=-1)
-        common.sigma2 = sample_inverse_gamma(hyper.sigma2.nu + shape[-1] * t,
+        common.sigma2 = sample_inverse_gamma(hyper.sigma2.nu + units.delta_alpha.shape[-1] * t,
                                              hyper.sigma2.tau + ssr_scaled, gen)
 
 
@@ -284,14 +283,9 @@ def run_m1(data, config: M1Config, rng,
     moments = UnitMoments(y0, Y)
     adapt = RwmhAdaptState(log_step=np.zeros(y0.shape[:-1])[()])
     recorder = DrawRecorder(config.n_draws, config.burn_in, config.thin, config.store_unit_draws)
-    # the sweep takes the replications' panels stacked: (R*N,) and (R*N, T)
-    y0_flat, Y_flat = y0.reshape(-1), Y.reshape(-1, Y.shape[-1])
     for j in range(config.n_draws):
-        m1_sweep(
-            y0_flat, Y_flat, common, units, config, adapt, gen,
-            fixed_common=fixed_common is not None, adapt_enabled=j < config.burn_in,
-            moments=moments,
-        )
+        m1_sweep(config, moments, common, units, adapt, gen,
+                 fixed_common=fixed_common is not None, adapt_enabled=j < config.burn_in)
         if not recorder.keeps(j):
             continue
         draw = {"alpha": common.alpha, "rho": common.rho, "sigma2": common.sigma2}

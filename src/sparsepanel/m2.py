@@ -428,7 +428,6 @@ def _individual_param_draw(y, x, mask, priors: IndividualPriors, coef, s, sig_ep
 
 
 def run_m2_individual(data: PanelData, n_draws: int, burn_in: int, rng,
-                      priors: Optional[IndividualPriors] = None,
                       thin: int = 1) -> ChainOutput:
     """Every unit's single-unit state-space sampler, run together as one chain.
 
@@ -440,7 +439,7 @@ def run_m2_individual(data: PanelData, n_draws: int, burn_in: int, rng,
     The draws in `common` have shape (kept, N) or, for "coef", (kept, N, k).
     """
     gen = as_generator(rng)
-    priors = priors or IndividualPriors()
+    priors = IndividualPriors()
     recorder = DrawRecorder(n_draws, burn_in, thin)
     y, mask, x = _extract_m2_arrays(data)
     n, t_len, k = x.shape

@@ -8,8 +8,6 @@ loss (1/N) sum_i (l_hat_i - l_i)^2. Risks average over replications.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams
-from sparsepanel.chainout import write_manifest
+from sparsepanel.chainout import check_chain_lengths, write_csv, write_manifest
 from sparsepanel.m1 import ConfigurationError, M1Config, run_m1
 from sparsepanel.panel import simulate_m1
 from sparsepanel.rng import RngStream
@@ -46,6 +44,7 @@ class MCDesign:
             raise ConfigurationError(f"unknown model {self.model!r}")
         if self.n_sim < 1:
             raise ConfigurationError("n_sim must be >= 1")
+        check_chain_lengths(self.n_draws, self.burn_in, 1)
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ConfigurationError(f"unknown estimator {est!r}")
@@ -81,25 +80,6 @@ class RiskTable:
     def stderr(self, q, v, estimator, target="alpha"):
         return self.stderrs[(q, v, estimator, target)]
 
-    def to_csv(self) -> str:
-        """Rows: target x v_delta_alpha x estimator; one risk column per q."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        qs = list(self.design.q_grid)
-        header = ["target", "v_delta_alpha", "estimator"]
-        for q in qs:
-            header += [f"risk_q{q:g}", f"stderr_q{q:g}"]
-        writer.writerow(header)
-        for target in TARGETS:
-            for v in self.design.v_delta_alpha_grid:
-                for est in self.design.estimators:
-                    row = [target, format(v, "g"), est]
-                    for q in qs:
-                        row.append(format(self.risks[(q, v, est, target)], ".17g"))
-                        row.append(format(self.stderrs[(q, v, est, target)], ".17g"))
-                    writer.writerow(row)
-        return buf.getvalue()
-
     def check_failures(self) -> None:
         """Raise if an estimator failed more than 5% of a cell's replications."""
         for (q, v, est), n_failed in self.failed.items():
@@ -108,9 +88,17 @@ class RiskTable:
                                    f"replications in cell q={q}, v={v}")
 
     def write(self, out_dir) -> None:
+        """risk_table.csv (rows target x v_delta_alpha x estimator, a risk and
+        a stderr column per q) and the manifest."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "risk_table.csv").write_text(self.to_csv())
+        d = self.design
+        write_csv(out / "risk_table.csv",
+                  ["target", "v_delta_alpha", "estimator"]
+                  + [f"{col}_q{q:g}" for q in d.q_grid for col in ("risk", "stderr")],
+                  ([target, format(v, "g"), est]
+                   + [table[(q, v, est, target)] for q in d.q_grid for table in (self.risks, self.stderrs)]
+                   for target in TARGETS for v in d.v_delta_alpha_grid for est in d.estimators))
         write_manifest(out / "manifest.json", {
             "model": self.design.model,
             "n": self.design.n,

@@ -8,13 +8,13 @@ values.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from sparsepanel.blocks import CommonState, HyperParams, UnitState
+from sparsepanel.chainout import write_csv
 from sparsepanel.distributions import ig_spec_from_variance, sample_mv_normal
 from sparsepanel.rng import as_generator
 
@@ -80,36 +80,27 @@ class SampleSpec:
             raise ValueError("holdout_periods must be non-negative")
 
 
-def load_panel(path, schema=None) -> PanelData:
-    """Read a long-format CSV into a PanelData.
-
-    `schema` maps roles to column names; defaults to unit/time/y with any
-    remaining columns treated as regressors.
-    """
-    schema = dict(schema or {})
-    unit_col = schema.get("unit", "unit")
-    time_col = schema.get("time", "time")
-    y_col = schema.get("y", "y")
+def load_panel(path) -> PanelData:
+    """Read a long-format CSV with columns unit, time and y into a PanelData;
+    any further columns are regressors."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise PanelIngestionError(f"{path}: empty file")
-        for col in (unit_col, time_col, y_col):
+        for col in ("unit", "time", "y"):
             if col not in reader.fieldnames:
                 raise PanelIngestionError(f"{path}: missing required column {col!r}")
-        x_cols = schema.get("x")
-        if x_cols is None:
-            x_cols = [c for c in reader.fieldnames if c not in (unit_col, time_col, y_col)]
+        x_cols = [c for c in reader.fieldnames if c not in ("unit", "time", "y")]
         rows = {}
         for line_no, row in enumerate(reader, start=2):
-            unit = row[unit_col]
+            unit = row["unit"]
             try:
-                t = int(row[time_col])
+                t = int(row["time"])
             except (TypeError, ValueError):
-                raise PanelIngestionError(f"{path}:{line_no}: non-integer time {row[time_col]!r}")
+                raise PanelIngestionError(f"{path}:{line_no}: non-integer time {row['time']!r}")
             if (unit, t) in rows:
                 raise PanelIngestionError(f"{path}: duplicate observation for unit {unit!r} at time {t}")
-            raw_y = (row[y_col] or "").strip()
+            raw_y = (row["y"] or "").strip()
             if raw_y == "":
                 y_val = np.nan
             else:
@@ -147,24 +138,14 @@ def load_panel(path, schema=None) -> PanelData:
 def write_panel(data: PanelData, path) -> None:
     """Write a PanelData back to the canonical long CSV format."""
     k = 0 if data.x is None else data.x.shape[2]
-    header = ["unit", "time", "y"] + [f"x{j + 1}" for j in range(k)]
 
-    def fmt(v: float) -> str:
-        return "" if np.isnan(v) else format(v, ".17g")
+    def cell(v):
+        return "" if np.isnan(v) else v
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for j, unit in enumerate(data.unit_ids):
-        for c, t in enumerate(data.times):
-            if not data.mask[j, c] and (data.x is None or np.all(np.isnan(data.x[j, c]))):
-                continue
-            row = [unit, int(t), fmt(data.y[j, c])]
-            if k:
-                row.extend(fmt(v) for v in data.x[j, c])
-            writer.writerow(row)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    write_csv(path, ["unit", "time", "y"] + [f"x{j + 1}" for j in range(k)], (
+        [unit, int(t), cell(data.y[j, c])] + ([cell(v) for v in data.x[j, c]] if k else [])
+        for j, unit in enumerate(data.unit_ids) for c, t in enumerate(data.times)
+        if data.mask[j, c] or (data.x is not None and not np.all(np.isnan(data.x[j, c])))))
 
 
 def _max_consecutive_run(present: np.ndarray) -> int:

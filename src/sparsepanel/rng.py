@@ -43,9 +43,6 @@ class RngStream:
         child.seed, child.stream_id = self.seed, int(stream_id)
         return child._keyed(self.key + (child.stream_id,))
 
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
 
 def draw_each(rng, draw, *params):
     """`draw(gen, *params)` on one stream; on a list of generators, one per

@@ -1,4 +1,4 @@
-"""Joint-distribution tests for the Gibbs samplers.
+"""Joint-distribution tests for the Gibbs samplers (Geweke 2004, JASA 99:799-804).
 
 Two ways of sampling from the joint law of (parameters, data) must agree:
 direct prior-then-likelihood simulation, and a chain that alternates one
@@ -16,7 +16,7 @@ import numpy as np
 from sparsepanel.blocks import CommonState, HyperParams, RwmhAdaptState, UnitState
 from sparsepanel.chainout import DrawRecorder
 from sparsepanel.distributions import sample_inverse_wishart, sample_mv_normal
-from sparsepanel.m1 import M1Config, m1_sweep
+from sparsepanel.m1 import M1Config, UnitMoments, m1_sweep
 from sparsepanel.m2 import M2Config, m2_sweep, panel_moments
 from sparsepanel.panel import (
     M2_BLOCKS,
@@ -129,11 +129,12 @@ def run_geweke_m1(variant: str, n: int, t: int, n_iter: int, rng,
     y0 = np.zeros(n)
     for j in range(successive.n_draws):
         y = simulate_m1_given(common, units, t, gen_sc)
-        m1_sweep(y0, y[:, 1:], common, units, config, adapt, gen_sc, adapt_enabled=False)
+        m1_sweep(config, UnitMoments(y0, y[:, 1:]), common, units, adapt, gen_sc, adapt_enabled=False)
         if successive.keeps(j):
             successive.record(_m1_test_functions(common, units, config))
 
     return {"marginal": marginal.common, "successive": successive.common}
+
 
 def _draw_m2_common(hyper: HyperParams, k: int, t: int, config, gen) -> CommonState:
     hetero = config.coef_heterogeneity

@@ -29,6 +29,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from geweke import _draw_m2_common, run_geweke_m1, run_geweke_m2, z_statistics
 from m2_oracle import build_state_prior_cov
 from means import (
     argmax_estimator,
@@ -57,7 +58,6 @@ from sparsepanel.distributions import (
     sample_mv_normal,
 )
 from sparsepanel.forecast import PredictiveDraws, predict, score
-from sparsepanel.geweke import _draw_m2_common, run_geweke_m1, run_geweke_m2, z_statistics
 from sparsepanel.m2 import M2Config, run_m2, run_m2_individual
 from sparsepanel.mc import MCDesign, _cell_theta, run_experiment
 from sparsepanel.panel import PanelData, simulate_m1

@@ -76,6 +76,14 @@ def test_to_dir_writes_manifest_and_is_deterministic(tmp_path):
     np.testing.assert_array_equal(body["alpha"], chain.common["alpha"])
 
 
+def test_to_dir_writes_non_finite_summaries_as_null(tmp_path):
+    chain = ChainOutput(common={"a": np.array([1.0, np.nan, 2.0]), "b": np.array([1.0, 2.0, 4.0])})
+    chain.to_dir(tmp_path)
+    summaries = json.loads((tmp_path / "manifest.json").read_text())["summaries"]
+    assert summaries["a"]["mean"] is None
+    assert summaries["b"] == summarize(chain.common["b"])
+
+
 def test_recorder_keeps_thinned_draws_and_unit_means():
     rec = DrawRecorder(n_draws=10, burn_in=3, thin=3, store_unit_draws=False)
     assert [j for j in range(10) if rec.keeps(j)] == [3, 6, 9]

@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import norm
 
 from sparsepanel import cli, mc
+from sparsepanel.chainout import summarize
 from sparsepanel.cli import _default_m2_truth, main, validate_config
 from sparsepanel.forecast import predict, write_fan_chart
 from sparsepanel.m2 import run_m2_individual
@@ -28,10 +29,22 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_validate_empty_config_defaults():
+@pytest.fixture
+def data_path(tmp_path):
+    """A file to name as `data`: validate_config only checks that it exists."""
+    path = tmp_path / "panel.csv"
+    path.write_text("unit,time,y\n")
+    return str(path)
+
+
+def test_validate_empty_config_defaults(data_path):
     rc, errors, warnings = validate_config({})
     assert errors == [] and warnings == []
     assert rc.command == "simulate"
+    assert (rc.model, rc.n, rc.t, rc.seed) == ("m1", 100, 8, 0)
+    # the variant and chain lengths are defaults of the commands that read them
+    rc, errors, warnings = validate_config({"command": "estimate", "data": data_path})
+    assert errors == [] and warnings == []
     assert rc.model == "m1"
     assert rc.variant == "ss_homosk"
     assert rc.draws == 5000 and rc.burnin == 2500
@@ -55,9 +68,15 @@ def test_validate_aggregates_errors():
     assert len(errors) >= 4
 
 
-def test_validate_rip_prior_warning():
+@pytest.mark.parametrize("draws", ["5", 5.5, None])
+def test_config_file_integer_settings_must_be_integers(draws, data_path):
+    _, errors, _ = validate_config({"command": "estimate", "data": data_path, "draws": draws})
+    assert errors == [f"draws: must be an integer >= 1, got {draws!r}"]
+
+
+def test_validate_rip_prior_warning(data_path):
     rc, errors, warnings = validate_config({
-        "command": "simulate", "model": "m2", "variant": "rip", "q_alpha": 0.4,
+        "command": "estimate", "model": "m2", "variant": "rip", "q_alpha": 0.4, "data": data_path,
     })
     assert errors == []
     assert any("ignored" in w for w in warnings)
@@ -154,9 +173,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPARSEPANEL_THREADS", "3")
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"n": 5, "t": 4, "n_sim": 1, "q_grid": [0.4],
+                                  "v_delta_alpha_grid": [0.5], "estimators": ["q0"]}))
     out_dir = tmp_path / "o"
-    code, _, _ = run_cli(
-        ["simulate", "--model", "m1", "--n", "5", "--t", "4", "--out", str(out_dir)], capsys)
+    code, _, _ = run_cli(["montecarlo", "--design", str(design), "--draws", "4", "--burnin", "2",
+                          "--out", str(out_dir)], capsys)
     assert code == 0
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
     assert manifest["config"]["threads"] == 3
@@ -402,3 +424,122 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("design, message", [
+    ({"theta": {"alpha": 1.0}}, "design: key 'theta' cannot be set in a design file"),
+    ({"hyper": {"a": 2.0}}, "design: key 'hyper' cannot be set in a design file"),
+    ({"n_sim": 2, "nsims": 3}, "design: unknown key 'nsims'"),
+    ({"q_grid": 0.4}, "design: key 'q_grid' must be a list, got 0.4"),
+    ({"v_delta_alpha_grid": 0.5}, "design: key 'v_delta_alpha_grid' must be a list, got 0.5"),
+    ({"estimators": "ss"}, "design: key 'estimators' must be a list, got 'ss'"),
+    ({"estimators": ["ss", "bogus"]}, "design: unknown estimator 'bogus'"),
+    ({"n_draws": 10, "burn_in": 10}, "design: burn_in must satisfy 0 <= burn_in < n_draws"),
+    ([0.4], "must hold a JSON object"),
+    ("{", "design: cannot read"),
+])
+def test_bad_design_file_exits_2(design, message, tmp_path, capsys):
+    path = tmp_path / "design.json"
+    path.write_text(design if isinstance(design, str) else json.dumps(design))
+    code, out, err = run_cli(["montecarlo", "--design", str(path), "--draws", "4", "--burnin", "2",
+                              "--out", str(tmp_path / "mc")], capsys)
+    assert code == 2 and out == ""
+    assert any(line.startswith("error: design:") and message in line for line in err.splitlines()), err
+    assert not (tmp_path / "mc").exists()
+
+
+@pytest.fixture
+def m2_panel_csv(tmp_path_factory):
+    sim = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--model", "m2", "--n", "4", "--t", "4", "--seed", "3",
+                 "--out", str(sim)]) == 0
+    return sim / "panel.csv"
+
+
+def _flag_values(command, tmp_path, panel):
+    """{flag: (argument, value the run manifest records)} for every flag of `command`."""
+    out = {"seed": ("1", 1), "out": (str(tmp_path / "o"), str(tmp_path / "o"))}
+    chain = {"model": ("m2", "m2"), "data": (str(panel), str(panel)), "draws": ("6", 6),
+             "burnin": ("2", 2), "thin": ("2", 2)}
+    if command == "simulate":
+        return {**out, "model": ("m1", "m1"), "n": ("4", 4), "t": ("3", 3)}
+    if command == "estimate":
+        return {**out, **chain, "variant": ("homosk", "homosk")}
+    if command == "forecast":
+        return {**out, **chain, "variant": ("baseline", "baseline"),
+                "scenario": ("full_info_no_param_unc", "full_info_no_param_unc"),
+                "horizons": ("1,2", [1, 2])}
+    if command == "montecarlo":
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"n": 5, "t": 4, "n_sim": 3, "q_grid": [0.4],
+                                      "v_delta_alpha_grid": [0.5], "estimators": ["q0"]}))
+        return {**out, "design": (str(design), str(design)), "nsim": ("1", 1), "draws": ("4", 4),
+                "burnin": ("2", 2), "threads": ("2", 2)}
+    return out
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_flag_of_a_command_lands_in_its_run_manifest(command, tmp_path, capsys, m2_panel_csv):
+    values = _flag_values(command, tmp_path, m2_panel_csv)
+    assert set(values) == set(cli.COMMAND_FIELDS[command])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cohort_size": 50, "cohort_periods": 3}))
+    argv = [command, "--config", str(config)]
+    for flag, (arg, _) in values.items():
+        argv += ["--" + flag, arg]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert manifest["config"] == {"command": command, **{k: v for k, (_, v) in values.items()}}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--draws"), ("estimate", "--nsim"), ("montecarlo", "--model"),
+    ("forecast", "--n"), ("decompose", "--draws"),
+])
+def test_command_rejects_a_flag_it_does_not_read(command, flag, capsys):
+    assert flag[2:] not in cli.COMMAND_FIELDS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_one_config_file_serves_every_command(tmp_path, capsys, m2_panel_csv):
+    # draws=5 with the default burnin=2500 is invalid for a chain, and no
+    # concern of decompose, which reads neither
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"draws": 5, "cohort_size": 50, "cohort_periods": 3}))
+    code, _, err = run_cli(["decompose", "--config", str(config), "--out", str(tmp_path / "d")],
+                           capsys)
+    assert code == 0, err
+    code, _, err = run_cli(["estimate", "--config", str(config), "--model", "m2", "--data",
+                            str(m2_panel_csv), "--out", str(tmp_path / "e")], capsys)
+    assert code == 2
+    assert "error: burnin: must be smaller than draws (burnin=2500, draws=5)" in err
+    code, _, err = run_cli(["estimate", "--config", str(config), "--model", "m2", "--data",
+                            str(m2_panel_csv), "--burnin", "2", "--out", str(tmp_path / "e")], capsys)
+    assert code == 0, err
+
+
+def test_chain_manifest_summarizes_the_common_draws(tmp_path, capsys, m2_panel_csv):
+    chain_dir = tmp_path / "chain"
+    code, _, err = run_cli(["estimate", "--model", "m2", "--data", str(m2_panel_csv),
+                            "--draws", "30", "--burnin", "10", "--seed", "4",
+                            "--out", str(chain_dir)], capsys)
+    assert code == 0, err
+    manifest = strict_json((chain_dir / "manifest.json").read_text())
+    header = (chain_dir / "common.csv").read_text().splitlines()[0].split(",")
+    table = np.loadtxt(chain_dir / "common.csv", delimiter=",", skiprows=1)
+    assert manifest["summaries"]["q_alpha"] == summarize(table[:, header.index("q_alpha")])
+    assert set(manifest["summaries"]) == set(header)
+
+
+@pytest.mark.parametrize("text", ["{", "[1]", "3"])
+def test_config_file_that_is_not_a_json_object_exits_2(text, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, out, err = run_cli(["simulate", "--config", str(config), "--out", str(tmp_path / "o")],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read config:")

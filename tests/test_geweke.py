@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsepanel.geweke import (
+from geweke import (
     batch_means_variance,
     run_geweke_m1,
     run_geweke_m2,

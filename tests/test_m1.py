@@ -58,8 +58,8 @@ def test_sweep_matches_residual_matrix_reference(variant, fixed_common):
     gen, ref_gen = (RngStream(seed=16, stream_id=0).generator for _ in range(2))
     moments = UnitMoments(y0, Y)
     for j in range(config.n_draws):
-        m1_sweep(y0, Y, common, units, config, adapt, gen, fixed_common=fixed_common,
-                 adapt_enabled=j < config.burn_in, moments=moments)
+        m1_sweep(config, moments, common, units, adapt, gen, fixed_common=fixed_common,
+                 adapt_enabled=j < config.burn_in)
         m1_sweep_reference(y0, Y, ref_common, ref_units, config, ref_adapt, ref_gen,
                            fixed_common=fixed_common, adapt_enabled=j < config.burn_in)
         for name in ("alpha", "rho", "sigma2", "v_delta_alpha", "v_delta_rho", "v_delta_sigma"):
