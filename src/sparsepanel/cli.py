@@ -63,7 +63,7 @@ _FLAG_OPTIONS = {
 # Every command draws from RngStream(seed, <purpose>) with one of these
 # purposes; the single-unit models of all units run as one chain on
 # UNIT_CHAINS_STREAM. `montecarlo` keys its cells and replications under
-# RngStream(seed, 0) (see mc.run_experiment).
+# RngStream(seed, 0) (see mc._task).
 SIMULATE_STREAM = 1
 CHAIN_STREAM = 2
 PREDICT_STREAM = 3
@@ -134,16 +134,24 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
         if not (isinstance(value, int) and value >= lowest):
             errors.append(f"{name}: must be an integer >= {lowest}, got {value!r}")
             bad.add(name)
-    if "burnin" in fields and not bad & {"draws", "burnin"} and rc.burnin >= rc.draws:
+    # montecarlo checks the chain lengths its design resolves to (_mc_design)
+    if (command != "montecarlo" and "burnin" in fields and not bad & {"draws", "burnin"}
+            and rc.burnin >= rc.draws):
         errors.append(f"burnin: must be smaller than draws (burnin={rc.burnin}, draws={rc.draws})")
     if not (isinstance(rc.seed, int) and 0 <= rc.seed < 2**64):
         errors.append(f"seed: must be an integer in [0, 2**64), got {rc.seed!r}")
-    if "data" in fields:
+    for name in ("data", "design", "out"):  # only out may not be unset
+        value = getattr(rc, name)
+        if name in fields and not (isinstance(value, str) or value is None and name != "out"):
+            errors.append(f"{name}: must be a path string, got {value!r}")
+            bad.add(name)
+    if "data" in fields and "data" not in bad:
         if rc.data is None:
             errors.append(f"data: required for the {command} command")
         elif not Path(rc.data).exists():
             errors.append(f"data: path {rc.data!r} does not exist")
-    if "design" in fields and rc.design is not None and not Path(rc.design).exists():
+    if "design" in fields and "design" not in bad and rc.design is not None \
+            and not Path(rc.design).exists():
         errors.append(f"design: path {rc.design!r} does not exist")
     if "scenario" in fields and rc.scenario not in SCENARIOS:
         errors.append(f"scenario: {rc.scenario!r} is not one of {SCENARIOS}")
@@ -159,7 +167,10 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
     if command == "forecast" and rc.model != "m2":
         errors.append("model: forecasting requires model m2")
     if command == "montecarlo" and not errors:
-        errors += _mc_design(rc)[1]
+        design, design_errors = _mc_design(rc)
+        errors += design_errors
+        if design is not None:  # the manifest records the lengths that run
+            rc.draws, rc.burnin = design.n_draws, design.burn_in
     if rc.variant == "rip" and any(k in extra for k in ("q_alpha", "q_alpha_prior")):
         warnings.append("variant rip pins the coefficient inclusion probability to 0; "
                         "the supplied q_alpha prior setting is ignored")
@@ -201,14 +212,16 @@ def _mc_design(rc: RunConfig) -> Tuple[Optional[MCDesign], List[str]]:
         return None, [f"design: {exc}"]
 
 
-def _threads_default() -> int:
+def _threads_default():
+    """SPARSEPANEL_THREADS as an integer, 1 when it is unset or empty. A value
+    that is no integer comes back as given, for validate_config to reject."""
     env = os.environ.get("SPARSEPANEL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        return env
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,9 +338,10 @@ def _cmd_montecarlo(rc: RunConfig) -> Dict:
     n_cells = len(design.q_grid) * len(design.v_delta_alpha_grid)
     table = run_experiment(
         design, seed=rc.seed, threads=rc.threads,
-        progress=lambda done, total, wall_s: _progress(
-            f"cell {done}/{total} done in {wall_s:.2f} s: {len(design.estimators)} chains x {design.n_sim} "
-            f"replications, {len(design.estimators) * design.n_sim * design.n_draws / wall_s:,.0f} sweeps/s"),
+        progress=lambda done, total, chain_s, workers: _progress(
+            f"cell {done}/{total} done: {len(design.estimators)} chains x {design.n_sim} "
+            f"replications in {chain_s:.2f} chain-s on {workers} worker(s), "
+            f"{len(design.estimators) * design.n_sim * design.n_draws / chain_s:,.0f} sweeps/s"),
     )
     out = Path(rc.out)
     table.write(out)  # the table and its failure counts, even when the run then fails

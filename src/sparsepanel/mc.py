@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
@@ -42,6 +43,15 @@ class MCDesign:
     def __post_init__(self):
         if self.model not in ("m1_homosk", "m1_hetsk"):
             raise ConfigurationError(f"unknown model {self.model!r}")
+        for name in ("n", "t", "n_sim", "n_draws", "burn_in"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name, rule, holds in (("q_grid", "in [0, 1]", lambda x: 0 <= x <= 1),
+                                  ("v_delta_alpha_grid", "> 0", lambda x: x > 0)):
+            for x in getattr(self, name):
+                if isinstance(x, bool) or not isinstance(x, Real) or not holds(x):
+                    raise ConfigurationError(f"{name} entries must be numbers {rule}, got {x!r}")
         if self.n_sim < 1:
             raise ConfigurationError("n_sim must be >= 1")
         check_chain_lengths(self.n_draws, self.burn_in, 1)
@@ -72,6 +82,7 @@ class RiskTable:
     stderrs: Dict[Tuple[float, float, str, str], float]
     failed: Dict[Tuple[float, float, str], int]
     cell_wall_s: Dict[Tuple[float, float], float]
+    workers: int
     design: MCDesign
 
     def risk(self, q, v, estimator, target="alpha"):
@@ -113,6 +124,7 @@ class RiskTable:
                 f"q={k[0]:g},v={k[1]:g},{k[2]}": v for k, v in self.failed.items() if v
             },
             "cell_wall_s": {f"q={k[0]:g},v={k[1]:g}": v for k, v in self.cell_wall_s.items()},
+            "workers": self.workers,
         })
 
 
@@ -141,47 +153,131 @@ def _cell_theta(design: MCDesign, q: float, v: float) -> CommonState:
     return theta
 
 
-def _cell_losses(design: MCDesign, theta: CommonState, streams):
-    """{estimator: ({target: (R,) losses}, (R,) flags of finite draws and losses)}
-    of one cell. Each replication's panel comes from its own stream; each
-    estimator then runs as one chain over all replications' substreams."""
+def _cells(design: MCDesign):
+    """The grid's (q, v_delta_alpha) cells, in the order their streams are keyed."""
+    return [(q, v) for v in design.v_delta_alpha_grid for q in design.q_grid]
+
+
+def _task(design: MCDesign, seed: int, c_idx: int, e_idx: int):
+    """({target: (R,) losses}, (R,) flags of finite draws and losses, wall s) of
+    estimator `e_idx` in cell `c_idx`: one chain batched over the cell's R
+    replications. Replication r draws its panel from
+    RngStream(seed, 0).substream(c_idx).substream(r).substream(0) and the
+    chain from its .substream(1 + e_idx), so each of a cell's tasks simulates
+    the same panels again and needs no argument but these four."""
+    start = time.perf_counter()
+    theta = _cell_theta(design, *_cells(design)[c_idx])
+    streams = [RngStream(seed, 0).substream(c_idx).substream(rep) for rep in range(design.n_sim)]
     sims = [simulate_m1(theta, design.hyper, design.n, design.t, stream.substream(0),
                         heteroskedastic=design.heteroskedastic) for stream in streams]
-    panels = [data for data, _ in sims]
     true_vals = {"alpha": np.array([theta.alpha + truth.delta_alpha for _, truth in sims]),
                  "rho": np.array([theta.rho + truth.delta_rho for _, truth in sims])}
-    losses = {}
-    for e_idx, est in enumerate(design.estimators):
-        chain = run_m1(panels, _estimator_config(design, est),
-                       [stream.substream(1 + e_idx) for stream in streams],
-                       fixed_common=theta if est == "oracle" else None)
-        loss = {target: np.mean((chain.unit_means[target + "_i"] - true_vals[target]) ** 2, axis=-1)
-                for target in TARGETS}
-        finite = np.all([np.isfinite(v).all(axis=0) for v in chain.common.values()]
-                        + [np.isfinite(v) for v in loss.values()], axis=0)
-        losses[est] = (loss, finite)
-    return losses
+    est = design.estimators[e_idx]
+    chain = run_m1([data for data, _ in sims], _estimator_config(design, est),
+                   [stream.substream(1 + e_idx) for stream in streams],
+                   fixed_common=theta if est == "oracle" else None)
+    loss = {target: np.mean((chain.unit_means[target + "_i"] - true_vals[target]) ** 2, axis=-1)
+            for target in TARGETS}
+    finite = np.all([np.isfinite(v).all(axis=0) for v in chain.common.values()]
+                    + [np.isfinite(v) for v in loss.values()], axis=0)
+    return loss, finite, time.perf_counter() - start
+
+
+def _run_tasks(design: MCDesign, seed: int, tasks, workers: int, done) -> None:
+    """Run `_task` on each (c_idx, e_idx) of `tasks`, calling done(index,
+    result) in this process as results come in. This process and workers - 1
+    forked children each take the next task nobody has taken until none is
+    left. This process takes the first task before any child starts, so an
+    in-process profiler sees at least one chain. Every child is stopped and
+    reaped before this returns or raises."""
+    if workers == 1:
+        for i, task in enumerate(tasks):
+            done(i, _task(design, seed, *task))
+        return
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    taken = ctx.Value("q", 0)
+
+    def take():
+        with taken.get_lock():
+            taken.value += 1
+            return taken.value - 1
+
+    def serve(conn):  # a child's loop: it sends (index, result or exception)
+        try:
+            while (i := take()) < len(tasks):
+                conn.send((i, _task(design, seed, *tasks[i])))
+        except Exception as exc:
+            conn.send((i, exc))
+
+    readers, children = [], []
+
+    def receive(timeout):
+        for reader in wait(readers, timeout):
+            try:
+                i, result = reader.recv()
+            except EOFError:  # the child has exited
+                readers.remove(reader)
+                continue
+            if isinstance(result, BaseException):
+                raise result
+            done(i, result)
+
+    try:
+        i = take()
+        for _ in range(workers - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=serve, args=(writer,))
+            child.start()
+            writer.close()  # before the next fork, so that EOF means this child exited
+            readers.append(reader)
+            children.append(child)
+        while i < len(tasks):
+            done(i, _task(design, seed, *tasks[i]))
+            receive(0)
+            i = take()
+        while readers:
+            receive(None)
+        for child in children:
+            child.join()
+        if any(child.exitcode for child in children):  # one died before sending its result
+            raise RuntimeError("a Monte Carlo worker failed (exit codes "
+                               f"{[child.exitcode for child in children]})")
+    finally:
+        for child in children:
+            child.terminate()
+            child.join()
 
 
 def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
                    progress=None) -> RiskTable:
-    """Run the full grid. Replications use disjoint RNG streams keyed by
-    (cell index, replication index); each (cell, estimator) runs as one
-    replication-batched chain in the calling thread. `threads` starts no
-    thread (the sweep holds the interpreter lock, so threads ran slower); it
-    is the worker count kept for a process pool. `progress(done, total,
-    cell_wall_s)` follows each cell."""
-    cells = [(q, v) for v in design.v_delta_alpha_grid for q in design.q_grid]
+    """Run the full grid as one task per (cell, estimator): a chain batched
+    over the cell's replications (see `_task` for its streams).
+
+    `threads` is the number of processes that run tasks, at most one per
+    task: at 1 every task runs in this process, one after another; above 1,
+    this process and forked children share the tasks (`_run_tasks`). Results
+    are reduced per cell in (cell, estimator, replication) order, so the risk
+    table does not depend on `threads`. A cell's `cell_wall_s` is the sum of
+    its tasks' wall times. `progress(done, total, cell_wall_s, workers)`
+    follows each cell, in cell order."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    cells = _cells(design)
+    n_est = len(design.estimators)
+    tasks = [(c_idx, e_idx) for c_idx in range(len(cells)) for e_idx in range(n_est)]
+    workers = max(1, min(threads, len(tasks)))
+    results = [None] * len(tasks)
     risks, stderrs, failed, cell_wall_s = {}, {}, {}, {}
-    root = RngStream(seed=seed, stream_id=0)
-    for c_idx, (q, v) in enumerate(cells):
-        start = time.perf_counter()
-        streams = [root.substream(c_idx).substream(rep) for rep in range(design.n_sim)]
-        losses = _cell_losses(design, _cell_theta(design, q, v), streams)
-        cell_wall_s[(q, v)] = time.perf_counter() - start
-        for est, (loss, finite) in losses.items():
-            n_failed = design.n_sim - int(finite.sum())
-            failed[(q, v, est)] = n_failed
+
+    def reduce_cell(c_idx):
+        q, v = cells[c_idx]
+        cell = results[c_idx * n_est:(c_idx + 1) * n_est]
+        cell_wall_s[(q, v)] = sum(wall for _, _, wall in cell)
+        for est, (loss, finite, _) in zip(design.estimators, cell):
+            failed[(q, v, est)] = design.n_sim - int(finite.sum())
             for target in TARGETS:
                 vals = loss[target][finite]
                 risks[(q, v, est, target)] = float(vals.mean()) if vals.size else np.nan
@@ -189,6 +285,18 @@ def run_experiment(design: MCDesign, seed: int = 0, threads: int = 1,
                     float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
                 )
         if progress is not None:
-            progress(c_idx + 1, len(cells), cell_wall_s[(q, v)])
+            progress(c_idx + 1, len(cells), cell_wall_s[(q, v)], workers)
+
+    next_cell = 0
+
+    def done(i, result):
+        nonlocal next_cell
+        results[i] = result
+        while next_cell < len(cells) and all(
+                r is not None for r in results[next_cell * n_est:(next_cell + 1) * n_est]):
+            reduce_cell(next_cell)
+            next_cell += 1
+
+    _run_tasks(design, seed, tasks, workers, done)
     return RiskTable(risks=risks, stderrs=stderrs, failed=failed, cell_wall_s=cell_wall_s,
-                     design=design)
+                     workers=workers, design=design)

@@ -184,6 +184,65 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert manifest["config"]["threads"] == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_threads_env_exits_2(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPARSEPANEL_THREADS", value)
+    code, out, err = run_cli(["montecarlo", "--draws", "4", "--burnin", "2", "--out",
+                              str(tmp_path / "o")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: threads: must be an integer >= 1"), err
+
+
+@pytest.mark.parametrize("command, key", [("estimate", "data"), ("simulate", "out"),
+                                          ("montecarlo", "design"), ("montecarlo", "out")])
+def test_path_setting_that_is_not_a_string_exits_2(command, key, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 5}))
+    code, out, err = run_cli([command, "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert f"error: {key}: must be a path string, got 5" in err.splitlines(), err
+
+
+def test_montecarlo_design_lengths_win_and_are_recorded(tmp_path, capsys):
+    # "flags give the lengths the file does not set": a file that sets both
+    # runs them whatever the flags say, and the run manifest records them.
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"n": 5, "t": 4, "n_sim": 1, "q_grid": [0.4],
+                                  "v_delta_alpha_grid": [0.5], "estimators": ["q0"],
+                                  "n_draws": 20, "burn_in": 10}))
+    for flags in (["--draws", "40", "--burnin", "30"], ["--draws", "100"]):
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(["montecarlo", "--design", str(design), *flags,
+                                "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        config = json.loads((out_dir / "run_manifest.json").read_text())["config"]
+        assert (config["draws"], config["burnin"]) == (20, 10)
+        assert json.loads((out_dir / "manifest.json").read_text())["n_draws"] == 20
+    # lengths from the flags are checked as the design's
+    design.write_text(json.dumps({"n": 5, "t": 4, "n_sim": 1, "estimators": ["q0"]}))
+    code, _, err = run_cli(["montecarlo", "--design", str(design), "--draws", "100",
+                            "--out", str(tmp_path / "p")], capsys)
+    assert code == 2
+    assert "error: design: burn_in must satisfy 0 <= burn_in < n_draws" in err
+
+
+def test_montecarlo_threads_give_the_same_table(tmp_path, capsys):
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"n": 12, "t": 8, "n_sim": 2, "q_grid": [0.0, 0.4],
+                                  "v_delta_alpha_grid": [0.5], "estimators": ["ss", "q0"]}))
+    tables = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        code, _, err = run_cli(["montecarlo", "--design", str(design), "--draws", "40",
+                                "--burnin", "20", "--seed", "3", "--threads", threads,
+                                "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        assert f"on {threads} worker(s)" in err
+        assert json.loads((out_dir / "manifest.json").read_text())["workers"] == int(threads)
+        tables.append((out_dir / "risk_table.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_montecarlo_command(tmp_path, capsys):
     design = tmp_path / "design.json"
     design.write_text(json.dumps({
@@ -426,6 +485,16 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # only a Monte Carlo run on more than one worker imports it
+    code = "import sys, sparsepanel.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
+
+
 @pytest.mark.parametrize("design, message", [
     ({"theta": {"alpha": 1.0}}, "design: key 'theta' cannot be set in a design file"),
     ({"hyper": {"a": 2.0}}, "design: key 'hyper' cannot be set in a design file"),
@@ -437,6 +506,15 @@ def test_cli_import_loads_no_scipy():
     ({"n_draws": 10, "burn_in": 10}, "design: burn_in must satisfy 0 <= burn_in < n_draws"),
     ([0.4], "must hold a JSON object"),
     ("{", "design: cannot read"),
+    ({"n": "abc"}, "design: n must be an integer, got 'abc'"),
+    ({"t": True}, "design: t must be an integer, got True"),
+    ({"n_sim": 1.5}, "design: n_sim must be an integer, got 1.5"),
+    ({"n_draws": "40"}, "design: n_draws must be an integer, got '40'"),
+    ({"burn_in": 2.0}, "design: burn_in must be an integer, got 2.0"),
+    ({"q_grid": ["a"]}, "design: q_grid entries must be numbers in [0, 1], got 'a'"),
+    ({"q_grid": [0.4, 1.5]}, "design: q_grid entries must be numbers in [0, 1], got 1.5"),
+    ({"v_delta_alpha_grid": [-0.5]}, "design: v_delta_alpha_grid entries must be numbers > 0, "
+                                     "got -0.5"),
 ])
 def test_bad_design_file_exits_2(design, message, tmp_path, capsys):
     path = tmp_path / "design.json"

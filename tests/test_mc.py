@@ -1,6 +1,9 @@
 """Tests for the Monte Carlo risk-experiment driver."""
 
 import json
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +11,7 @@ import pytest
 
 from sparsepanel import mc
 from sparsepanel.m1 import ConfigurationError
-from sparsepanel.mc import MCDesign, _cell_losses, _cell_theta, _estimator_config, run_experiment
-from sparsepanel.rng import RngStream
+from sparsepanel.mc import MCDesign, _cell_theta, _estimator_config, _task, run_experiment
 
 
 def tiny_design(**kw):
@@ -77,12 +79,57 @@ def test_run_experiment_deterministic_and_thread_invariant():
     t2 = run_experiment(d, seed=4)
     t3 = run_experiment(d, seed=4, threads=2)
     t4 = run_experiment(d, seed=5)
+    t5 = run_experiment(d, seed=4, threads=3)
     key = (0.4, 0.5, "ss", "alpha")
     assert t1.risks[key] == t2.risks[key] == t3.risks[key]
     assert t1.risks[key] != t4.risks[key]
     assert t1.risks[key] > 0
     assert t1.stderrs[key] > 0
     assert t1.failed[(0.4, 0.5, "ss")] == 0
+    # every risk, stderr and failure count is bit-identical at every worker count
+    for table in (t2, t3, t5):
+        assert table.risks == t1.risks
+        assert table.stderrs == t1.stderrs
+        assert table.failed == t1.failed
+    assert (t1.workers, t3.workers, t5.workers) == (1, 2, 3)
+
+
+def test_worker_count_is_capped_at_one_per_task(tmp_path):
+    d = tiny_design()  # 1 cell x 3 estimators: 3 tasks
+    table = run_experiment(d, seed=4, threads=8)
+    assert table.workers == 3
+    assert table.risks == run_experiment(d, seed=4).risks
+    table.write(tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text())["workers"] == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_progress_follows_each_cell_in_order():
+    calls = []
+    d = tiny_design(q_grid=(0.0, 0.4))
+    table = run_experiment(d, seed=4, threads=2, progress=lambda *args: calls.append(args))
+    assert [(done, total, workers) for done, total, _, workers in calls] == [(1, 2, 2), (2, 2, 2)]
+    assert [wall for _, _, wall, _ in calls] == list(table.cell_wall_s.values())
+    assert all(wall > 0 for wall in table.cell_wall_s.values())
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing", ["ss", "q0", "oracle"])
+def test_task_failure_propagates_and_stops_every_worker(failing, monkeypatch):
+    # The first task runs in the calling process, the others in either.
+    d = tiny_design()
+    run_m1 = mc.run_m1
+    variant = _estimator_config(d, failing).variant
+
+    def fail_one_estimator(data, config, rng, fixed_common=None):
+        if config.variant == variant and (fixed_common is not None) == (failing == "oracle"):
+            raise FloatingPointError(f"{failing} failed")
+        return run_m1(data, config, rng, fixed_common=fixed_common)
+
+    monkeypatch.setattr(mc, "run_m1", fail_one_estimator)
+    with pytest.raises(FloatingPointError, match=f"{failing} failed"):
+        run_experiment(d, seed=4, threads=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_risk_table_accessors_and_write(tmp_path):
@@ -137,14 +184,28 @@ def test_batched_cell_reproduces_recorded_risks(model):
         assert table.failed[(0.4, 0.5, est)] == 0
 
 
+def test_worker_that_dies_fails_the_run(monkeypatch):
+    parent, run_m1 = os.getpid(), mc.run_m1
+
+    def die_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.5)  # so that the worker takes a task
+        return run_m1(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "run_m1", die_in_a_worker)
+    with pytest.raises(RuntimeError, match=r"exit codes \[3\]"):
+        run_experiment(tiny_design(), seed=4, threads=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_non_finite_replication_fails_alone(monkeypatch):
     # One replication's panel is scaled to 1e300, so its draws go non-finite.
     # It counts as failed, and the replications it shares chains with keep
     # their losses exactly.
     design = tiny_design(n_sim=20)
-    theta = _cell_theta(design, 0.4, 0.5)
-    streams = [RngStream(4, 0).substream(0).substream(rep) for rep in range(design.n_sim)]
-    clean = _cell_losses(design, theta, streams)
+    estimators = range(len(design.estimators))
+    clean = [_task(design, 4, 0, e_idx) for e_idx in estimators]
     simulate = mc.simulate_m1
 
     def blow_up_replication_2(theta, hyper, n, t, stream, **kwargs):
@@ -155,14 +216,18 @@ def test_non_finite_replication_fails_alone(monkeypatch):
 
     monkeypatch.setattr(mc, "simulate_m1", blow_up_replication_2)
     with np.errstate(all="ignore"):
-        broken = _cell_losses(design, theta, streams)
-        table = run_experiment(design, seed=4)
+        broken = [_task(design, 4, 0, e_idx) for e_idx in estimators]
+        # forked workers inherit the patched simulator
+        tables = [run_experiment(design, seed=4, threads=threads) for threads in (1, 2)]
     ok = np.arange(design.n_sim) != 2
-    for est in design.estimators:
-        (loss, finite), (clean_loss, clean_finite) = broken[est], clean[est]
+    for est, (loss, finite, _), (clean_loss, clean_finite, _) in zip(design.estimators, broken,
+                                                                     clean):
         assert clean_finite.all()
         np.testing.assert_array_equal(finite, ok)
         for target in ("alpha", "rho"):
             np.testing.assert_array_equal(loss[target][ok], clean_loss[target][ok])
-        assert table.failed[(0.4, 0.5, est)] == 1
-    table.check_failures()  # 1 of 20 is within the 5% rule
+        for table in tables:
+            assert table.failed[(0.4, 0.5, est)] == 1
+    for table in tables:
+        table.check_failures()  # 1 of 20 is within the 5% rule
+    assert tables[1].risks == tables[0].risks
