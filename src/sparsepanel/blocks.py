@@ -21,7 +21,6 @@ import numpy as np
 from sparsepanel.distributions import (
     InverseGammaSpec,
     InverseWishartSpec,
-    TruncatedNormalSpec,
     _inv,
     expit,
     log_ndtr,
@@ -140,7 +139,6 @@ class RwmhAdaptState:
     log_step: Union[float, np.ndarray] = 0.0
     iteration: int = 0
     accepted: Union[int, np.ndarray] = 0
-    proposed: int = 0
 
     @property
     def step(self):
@@ -148,7 +146,7 @@ class RwmhAdaptState:
 
     @property
     def acceptance_rate(self):
-        return self.accepted / self.proposed if self.proposed else float("nan")
+        return self.accepted / self.iteration if self.iteration else float("nan")
 
 
 def _lgamma(x):
@@ -253,12 +251,10 @@ def log_posterior_slab_variance(omega: float, psi, total, prior: InverseGammaSpe
     """Unnormalized log conditional of the IG-slab variance omega > 0, given
     psi active deviations d whose sum of log(d) + 1/d is `total`."""
     inv = 1.0 / omega
-    return float(
-        psi * (inv + 2.0) * np.log(inv + 1.0)
-        - psi * math.lgamma(inv + 2.0)
-        - (prior.nu / 2.0 + 1.0) * np.log(omega)
-        - inv * (total + prior.tau / 2.0)
-    )
+    return (psi * (inv + 2.0) * math.log(inv + 1.0)
+            - psi * math.lgamma(inv + 2.0)
+            - (prior.nu / 2.0 + 1.0) * math.log(omega)
+            - inv * (total + prior.tau / 2.0))
 
 
 def update_v_delta_sigma_rwmh(omega, z, deltas, prior: InverseGammaSpec, adapt: RwmhAdaptState,
@@ -273,21 +269,21 @@ def update_v_delta_sigma_rwmh(omega, z, deltas, prior: InverseGammaSpec, adapt: 
     """
 
     def step(gen, omega, c, psi, total):
-        proposal = float(sample_truncated_normal(TruncatedNormalSpec(center=omega, lower_bound=0.0, scale=c), gen))
+        proposal = sample_truncated_normal(omega, c, gen)
         lp_prop = log_posterior_slab_variance(proposal, psi, total, prior)
         accept_prob = 0.0
-        if np.isfinite(lp_prop):
+        if math.isfinite(lp_prop):
             log_accept = ((lp_prop - log_posterior_slab_variance(omega, psi, total, prior))
                           - (log_ndtr(proposal / c) - log_ndtr(omega / c)))
-            accept_prob = float(min(1.0, np.exp(min(log_accept, 0.0))))
+            accept_prob = math.exp(min(log_accept, 0.0))
         accepted = gen.random() < accept_prob
         return (proposal if accepted else omega), accept_prob, float(accepted)
 
     psi, total = z.sum(axis=-1).tolist(), (z * (np.log(deltas) + 1.0 / deltas)).sum(axis=-1).tolist()
-    drawn = draw_each(rng, step, omega, adapt.step, psi, total)  # one chain's are Python floats
+    # `step` on Python floats: numpy scalar arithmetic would cost more than the step
+    drawn = draw_each(rng, step, np.asarray(omega, dtype=float).tolist(), adapt.step.tolist(), psi, total)
     omega, accept_prob, accepted = np.transpose(drawn) if isinstance(rng, list) else drawn
     adapt.iteration += 1
-    adapt.proposed += 1
     adapt.accepted = adapt.accepted + np.asarray(accepted, dtype=np.int64)
     if adapt_enabled:
         raw = adapt.log_step + adapt.iteration ** (-RWMH_GAIN_EXPONENT) * (accept_prob - RWMH_TARGET_ACCEPT)

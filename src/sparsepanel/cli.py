@@ -52,6 +52,13 @@ COMMANDS = tuple(COMMAND_FIELDS)
 # Smallest value of each integer setting but the seed (nsim may also be unset).
 _MINIMUM = {"draws": 1, "burnin": 0, "thin": 1, "threads": 1, "nsim": 1, "n": 1, "t": 1}
 
+# The config-file keys that are no flag, each with the commands that read it,
+# and the smallest value of those that are integers.
+CONFIG_ONLY = {"theta": ("simulate", "decompose"), "heteroskedastic": ("simulate",),
+               "cohort_size": ("decompose",), "cohort_periods": ("decompose",)}
+_CONFIG_MINIMUM = {"cohort_size": 2, "cohort_periods": 1}
+_KEYS = sorted({*CONFIG_ONLY, *(f for fields in COMMAND_FIELDS.values() for f in fields)})
+
 # argparse options of the flags that are not free strings
 _FLAG_OPTIONS = {
     "model": {"choices": ("m1", "m2")},
@@ -74,12 +81,13 @@ DECOMPOSE_STREAM = 5
 # those of them that hold lists.
 _DESIGN_KEYS = tuple(f for f in MCDesign.__dataclass_fields__ if f not in ("theta", "hyper"))
 _DESIGN_LISTS = ("q_grid", "v_delta_alpha_grid", "estimators")
+_THETA_KEYS = tuple(CommonState.__dataclass_fields__)
 
 
 @dataclass
 class RunConfig:
     """Fully resolved settings for one command invocation; a command reads
-    only its `COMMAND_FIELDS` and `extra`."""
+    only its `COMMAND_FIELDS` and, in `extra`, its `CONFIG_ONLY` keys."""
 
     command: str
     model: str = "m1"
@@ -100,21 +108,21 @@ class RunConfig:
     extra: Dict = field(default_factory=dict)
 
 
-def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[str]]:
+def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str]]:
     """Resolve defaults and check the settings the command reads, collecting
-    every error. Keys that are no RunConfig field go to `extra`.
+    every error. A key that no command reads is an error.
 
-    Returns (run_config_or_None, errors, warnings).
+    Returns (run_config_or_None, errors).
     """
     errors: List[str] = []
-    warnings: List[str] = []
     cfg = dict(config)
     command = cfg.pop("command", "simulate")
     if command not in COMMANDS:
         errors.append(f"command: {command!r} is not one of {COMMANDS}")
-        return None, errors, warnings
+        return None, errors
+    errors += [f"{k}: unknown key, expected one of {_KEYS}" for k in cfg if k not in _KEYS]
     fields = COMMAND_FIELDS[command]
-    extra = {k: v for k, v in cfg.items() if k not in RunConfig.__dataclass_fields__}
+    extra = {k: cfg[k] for k, readers in CONFIG_ONLY.items() if k in cfg and command in readers}
     rc = RunConfig(command=command, extra=extra, **{k: cfg[k] for k in fields if k in cfg})
 
     if "model" in fields:
@@ -164,6 +172,18 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
         else:
             if not (rc.horizons and min(rc.horizons) >= 1 and len(set(rc.horizons)) == len(rc.horizons)):
                 errors.append(f"horizons: must be distinct positive integers, got {list(rc.horizons)}")
+    for name, lowest in _CONFIG_MINIMUM.items():
+        value = extra.get(name, lowest)
+        if isinstance(value, bool) or not (isinstance(value, int) and value >= lowest):
+            errors.append(f"{name}: must be an integer >= {lowest}, got {value!r}")
+    if not isinstance(extra.get("heteroskedastic", False), bool):
+        errors.append(f"heteroskedastic: must be true or false, got {extra['heteroskedastic']!r}")
+    theta = extra.get("theta", {})
+    if not isinstance(theta, dict):
+        errors.append(f"theta: must be a JSON object, got {theta!r}")
+    else:
+        errors += [f"theta: unknown parameter {name!r}, expected one of {_THETA_KEYS}"
+                   for name in theta if name not in _THETA_KEYS]
     if command == "forecast" and rc.model != "m2":
         errors.append("model: forecasting requires model m2")
     if command == "montecarlo" and not errors:
@@ -171,12 +191,7 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str], List[
         errors += design_errors
         if design is not None:  # the manifest records the lengths that run
             rc.draws, rc.burnin = design.n_draws, design.burn_in
-    if rc.variant == "rip" and any(k in extra for k in ("q_alpha", "q_alpha_prior")):
-        warnings.append("variant rip pins the coefficient inclusion probability to 0; "
-                        "the supplied q_alpha prior setting is ignored")
-    if errors:
-        return None, errors, warnings
-    return rc, errors, warnings
+    return (None if errors else rc), errors
 
 
 def _mc_design(rc: RunConfig) -> Tuple[Optional[MCDesign], List[str]]:
@@ -395,9 +410,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not an object
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    rc, errors, warnings = validate_config(cfg)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    rc, errors = validate_config(cfg)
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)

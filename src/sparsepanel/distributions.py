@@ -7,6 +7,7 @@ density proportional to x^-(nu/2+1) exp(-tau/(2x)).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,19 +68,6 @@ class InverseWishartSpec:
         if self.dof <= d + 1:
             raise ParameterDomainError("IW mean requires dof > dim + 1")
         return self.scale / (self.dof - d - 1.0)
-
-
-@dataclass(frozen=True)
-class TruncatedNormalSpec:
-    """Normal(center, scale^2) truncated to (lower_bound, inf)."""
-
-    center: float
-    lower_bound: float
-    scale: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ParameterDomainError(f"truncated normal requires scale > 0, got {self.scale}")
 
 
 def ig_spec_from_variance(v: float) -> InverseGammaSpec:
@@ -196,6 +184,7 @@ def expit(x):
 
 
 _SQRT1_2 = math.sqrt(0.5)  # x / sqrt(2) as x * _SQRT1_2, the rounding scipy and Cephes use
+_STANDARD_NORMAL = statistics.NormalDist()  # its inv_cdf is Wichura's AS 241
 
 
 def ndtr(x: float) -> float:
@@ -209,78 +198,6 @@ def log_ndtr(x: float) -> float:
     if x > 0:
         return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
     return math.log(ndtr(x))
-
-
-# Wichura (1988), Algorithm AS 241 (PPND16), Applied Statistics 37:477-484:
-# numerator and denominator coefficients, highest power first, of the rational
-# approximations in the central region |p - 1/2| <= 0.425, in the tail with
-# r = sqrt(-log(min(p, 1 - p))) <= 5, and in the tail beyond.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0),
-)
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
-     4.6303378461565452959e+0, 1.4234371107496835773e+0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
-     2.0531916266377588219e+0, 1.0),
-)
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
-     5.4637849111641143699e+0, 6.6579046435011037772e+0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0),
-)
-
-
-def _horner(c, r):
-    c0, c1, c2, c3, c4, c5, c6, c7 = c
-    return ((((((c0 * r + c1) * r + c2) * r + c3) * r + c4) * r + c5) * r + c6) * r + c7
-
-
-def _rational(coefs, r):
-    """Ratio of two degree-7 polynomials in r; r is a float or an array."""
-    return _horner(coefs[0], r) / _horner(coefs[1], r)
-
-
-def ndtri(p):
-    """Standard normal quantile (AS 241, relative error about 1e-16): pure `math`
-    for a float, numpy for an array. Gives -inf at 0, +inf at 1, NaN outside."""
-    if isinstance(p, float):  # numpy's float64 scalars included
-        return _ndtri_scalar(float(p))
-    p = np.asarray(p, dtype=float)
-    q = p - 0.5
-    x = np.full(p.shape, np.nan)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    x[central] = qc * _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
-    tail = ~central & (p > 0.0) & (p < 1.0)
-    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
-    x[tail] = np.copysign(
-        np.where(r <= 5.0, _rational(_AS241_NEAR, r - 1.6), _rational(_AS241_FAR, r - 5.0)), q[tail]
-    )
-    x[p == 0.0] = -np.inf
-    x[p == 1.0] = np.inf
-    return x
-
-
-def _ndtri_scalar(p: float) -> float:
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        return q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
-    if not 0.0 < p < 1.0:
-        return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
-    r = math.sqrt(-math.log(min(p, 1.0 - p)))
-    x = _rational(_AS241_NEAR, r - 1.6) if r <= 5.0 else _rational(_AS241_FAR, r - 5.0)
-    return math.copysign(x, q)
 
 
 def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -367,15 +284,9 @@ def sample_inverse_wishart(dof: float, scale: np.ndarray, rng, size=None):
     return lower @ lower.swapaxes(1, 2)
 
 
-def sample_truncated_normal(spec: TruncatedNormalSpec, rng, size=None):
-    """Inverse-CDF draw from N(center, scale^2) restricted to (lower_bound, inf)."""
-    gen = as_generator(rng)
-    a = (spec.lower_bound - spec.center) / spec.scale
-    lo = ndtr(a)
-    u = gen.random(size=size)
+def sample_truncated_normal(center: float, scale: float, gen) -> float:
+    """Inverse-CDF draw from N(center, scale^2) restricted to (0, inf), on Python floats."""
+    lo = ndtr(-center / scale)
     # Map U(0,1) into the surviving CDF mass; the clip guards the open support.
-    # minimum(maximum()) is np.clip at a fraction of its cost on a scalar, and
-    # the RWMH step draws a scalar every sweep.
-    p = np.minimum(np.maximum(lo + u * (1.0 - lo), math.nextafter(lo, 1.0)), math.nextafter(1.0, 0.0))
-    draw = spec.center + spec.scale * ndtri(p)
-    return np.maximum(draw, math.nextafter(spec.lower_bound, math.inf))
+    p = min(max(lo + gen.random() * (1.0 - lo), math.nextafter(lo, 1.0)), math.nextafter(1.0, 0.0))
+    return max(center + scale * _STANDARD_NORMAL.inv_cdf(p), math.nextafter(0.0, 1.0))

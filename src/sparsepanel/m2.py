@@ -48,7 +48,6 @@ class M2Config:
     burn_in: int = 2500
     thin: int = 1
     hyper: HyperParams = field(default_factory=HyperParams.m2_defaults)
-    store_unit_draws: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -338,7 +337,7 @@ def run_m2(data: PanelData, config: M2Config, rng) -> ChainOutput:
     n, t_len, k = x.shape
     common, units = init_m2_state(n, t_len, k, config)
     adapts = {"sigma_u": RwmhAdaptState(), "sigma_eps": RwmhAdaptState()}
-    recorder = DrawRecorder(config.n_draws, config.burn_in, config.thin, config.store_unit_draws)
+    recorder = DrawRecorder(config.n_draws, config.burn_in, config.thin)
     moments = panel_moments(mask, x)
     for j in range(config.n_draws):
         m2_sweep(y, x, moments, common, units, config, adapts, gen, adapt_enabled=j < config.burn_in)

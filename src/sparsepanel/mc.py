@@ -47,13 +47,17 @@ class MCDesign:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name, lowest in (("n", 1), ("t", 2), ("n_sim", 1)):  # M1 fits T >= 2 periods
+            if getattr(self, name) < lowest:
+                raise ConfigurationError(f"{name} must be >= {lowest}, got {getattr(self, name)!r}")
+        for name in ("q_grid", "v_delta_alpha_grid", "estimators"):
+            if not len(getattr(self, name)):
+                raise ConfigurationError(f"{name} must not be empty")
         for name, rule, holds in (("q_grid", "in [0, 1]", lambda x: 0 <= x <= 1),
                                   ("v_delta_alpha_grid", "> 0", lambda x: x > 0)):
             for x in getattr(self, name):
                 if isinstance(x, bool) or not isinstance(x, Real) or not holds(x):
                     raise ConfigurationError(f"{name} entries must be numbers {rule}, got {x!r}")
-        if self.n_sim < 1:
-            raise ConfigurationError("n_sim must be >= 1")
         check_chain_lengths(self.n_draws, self.burn_in, 1)
         for est in self.estimators:
             if est not in ESTIMATORS:

@@ -38,13 +38,13 @@ def data_path(tmp_path):
 
 
 def test_validate_empty_config_defaults(data_path):
-    rc, errors, warnings = validate_config({})
-    assert errors == [] and warnings == []
+    rc, errors = validate_config({})
+    assert errors == []
     assert rc.command == "simulate"
     assert (rc.model, rc.n, rc.t, rc.seed) == ("m1", 100, 8, 0)
     # the variant and chain lengths are defaults of the commands that read them
-    rc, errors, warnings = validate_config({"command": "estimate", "data": data_path})
-    assert errors == [] and warnings == []
+    rc, errors = validate_config({"command": "estimate", "data": data_path})
+    assert errors == []
     assert rc.model == "m1"
     assert rc.variant == "ss_homosk"
     assert rc.draws == 5000 and rc.burnin == 2500
@@ -52,7 +52,7 @@ def test_validate_empty_config_defaults(data_path):
 
 
 def test_validate_aggregates_errors():
-    rc, errors, _ = validate_config({
+    rc, errors = validate_config({
         "command": "estimate",
         "model": "m3",
         "draws": 100,
@@ -70,17 +70,17 @@ def test_validate_aggregates_errors():
 
 @pytest.mark.parametrize("draws", ["5", 5.5, None])
 def test_config_file_integer_settings_must_be_integers(draws, data_path):
-    _, errors, _ = validate_config({"command": "estimate", "data": data_path, "draws": draws})
+    _, errors = validate_config({"command": "estimate", "data": data_path, "draws": draws})
     assert errors == [f"draws: must be an integer >= 1, got {draws!r}"]
 
 
-def test_validate_rip_prior_warning(data_path):
-    rc, errors, warnings = validate_config({
-        "command": "estimate", "model": "m2", "variant": "rip", "q_alpha": 0.4, "data": data_path,
+@pytest.mark.parametrize("key", ["q_alpha", "burn_in", "extra", "command_"])
+def test_validate_rejects_a_key_no_command_reads(key, data_path):
+    rc, errors = validate_config({
+        "command": "estimate", "model": "m2", "variant": "rip", key: 0.4, "data": data_path,
     })
-    assert errors == []
-    assert any("ignored" in w for w in warnings)
-    assert rc.extra["q_alpha"] == 0.4
+    assert rc is None
+    assert len(errors) == 1 and errors[0].startswith(f"{key}: unknown key, expected one of [")
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -318,7 +318,7 @@ def test_bad_horizons_exit_2(horizons, message, tmp_path, capsys):
 
 
 def test_config_file_horizons_must_be_integers():
-    _, errors, _ = validate_config({"command": "forecast", "model": "m2", "horizons": [1.5, 2]})
+    _, errors = validate_config({"command": "forecast", "model": "m2", "horizons": [1.5, 2]})
     assert any(e.startswith("horizons: must be comma-separated integers") for e in errors)
 
 
@@ -355,9 +355,42 @@ def test_decompose_command(tmp_path, capsys):
     assert shares == [0.0] * 6
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"cohort_size": 0}, "cohort_size: must be an integer >= 2, got 0"),
+    ({"cohort_size": "abc"}, "cohort_size: must be an integer >= 2, got 'abc'"),
+    ({"cohort_size": True}, "cohort_size: must be an integer >= 2, got True"),
+    ({"cohort_periods": 0}, "cohort_periods: must be an integer >= 1, got 0"),
+    ({"cohort_periods": 2.0}, "cohort_periods: must be an integer >= 1, got 2.0"),
+    ({"theta": {"sigma": 9.0}}, "theta: unknown parameter 'sigma'"),
+    ({"theta": [1.0]}, "theta: must be a JSON object, got [1.0]"),
+])
+def test_bad_decompose_setting_exits_2(setting, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(setting))
+    code, out, err = run_cli(["decompose", "--config", str(config), "--out", str(tmp_path / "d")],
+                             capsys)
+    assert code == 2 and out == ""
+    assert any(line.startswith("error: " + message) for line in err.splitlines()), err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"burn_in": 3}, "burn_in: unknown key"),
+    ({"theta": {"sigma": 9.0}}, "theta: unknown parameter 'sigma'"),
+    ({"heteroskedastic": "yes"}, "heteroskedastic: must be true or false, got 'yes'"),
+])
+def test_bad_simulate_setting_exits_2(setting, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(setting))
+    code, out, err = run_cli(["simulate", "--config", str(config), "--out", str(tmp_path / "s")],
+                             capsys)
+    assert code == 2 and out == ""
+    assert any(line.startswith("error: " + message) for line in err.splitlines()), err
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bit_range_exits_2(seed, tmp_path, capsys):
-    _, errors, _ = validate_config({"seed": seed})
+    _, errors = validate_config({"seed": seed})
     assert any(e.startswith("seed:") for e in errors)
     code, out, err = run_cli(["simulate", "--seed", str(seed), "--out", str(tmp_path / "o")],
                              capsys)
@@ -515,6 +548,11 @@ def test_cli_import_loads_no_multiprocessing():
     ({"q_grid": [0.4, 1.5]}, "design: q_grid entries must be numbers in [0, 1], got 1.5"),
     ({"v_delta_alpha_grid": [-0.5]}, "design: v_delta_alpha_grid entries must be numbers > 0, "
                                      "got -0.5"),
+    ({"n": 0}, "design: n must be >= 1, got 0"),
+    ({"t": 1}, "design: t must be >= 2, got 1"),
+    ({"q_grid": []}, "design: q_grid must not be empty"),
+    ({"v_delta_alpha_grid": []}, "design: v_delta_alpha_grid must not be empty"),
+    ({"estimators": []}, "design: estimators must not be empty"),
 ])
 def test_bad_design_file_exits_2(design, message, tmp_path, capsys):
     path = tmp_path / "design.json"

@@ -1,5 +1,7 @@
 """Tests for predictive simulation, scoring, and the variance decomposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -79,8 +81,8 @@ def test_gapped_horizons_simulate_every_step():
 
 def test_missing_unit_draws_raise():
     data, _, _ = make_fit(n=5)
-    chain = run_m2(data, M2Config(variant="baseline", n_draws=40, burn_in=20,
-                                  store_unit_draws=False), np.random.default_rng(3))
+    chain = run_m2(data, M2Config(variant="baseline", n_draws=40, burn_in=20), np.random.default_rng(3))
+    chain = replace(chain, unit={})
     with pytest.raises(ValueError, match="unit draws"):
         predict(chain, data, [1], "full_info_param_unc", np.random.default_rng(0))
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import special
 
 from sparsepanel.blocks import _log_odds_prior, update_indicator_and_deviation_ig
-from sparsepanel.distributions import expit, log_ndtr, ndtr, ndtri
+from sparsepanel.distributions import expit, log_ndtr, ndtr, sample_truncated_normal
 from sparsepanel.rng import RngStream
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -23,19 +23,39 @@ def rel_err(got, ref):
     return np.abs(np.asarray(got) - ref) / np.abs(ref)
 
 
-def test_ndtri_matches_scipy_from_1e_300_to_1_minus_1e_16():
-    p = np.concatenate([np.logspace(-300, -1, 3000), np.linspace(0.05, 0.95, 1801),
-                        1.0 - np.logspace(-16, -1, 1500)])
-    got = ndtri(p)
-    assert np.max(rel_err(got, special.ndtri(p))) < 1e-14
-    # the float branch is the same arithmetic in `math`
-    assert np.array_equal([ndtri(float(v)) for v in p], got)
+class FixedUniforms:
+    """A generator whose `random()` returns the given uniforms in turn."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
 
 
-def test_ndtri_edges_match_scipy():
-    edges = np.array([0.0, 1.0, 0.5, -0.25, 1.25, np.nan])
-    np.testing.assert_array_equal(ndtri(edges), special.ndtri(edges))
-    np.testing.assert_array_equal([ndtri(float(v)) for v in edges], special.ndtri(edges))
+CENTERS = (1e-3, 0.2, 1.0, 3.0, 10.0)
+SCALES = (0.05, 0.5, 2.0, 20.0)
+
+
+def test_truncated_normal_proposal_is_the_scipy_quantile_at_fixed_uniforms():
+    # Below u = 0.05 the draw is center + scale * quantile with much cancelled,
+    # which multiplies a one-ulp difference in the quantile by center / draw;
+    # the edge uniforms are the next test's.
+    u = np.linspace(0.05, 0.95, 91)
+    for center in CENTERS:
+        for scale in SCALES:
+            lo = special.ndtr(-center / scale)
+            want = center + scale * special.ndtri(lo + u * (1.0 - lo))
+            got = [sample_truncated_normal(center, scale, FixedUniforms(v)) for v in u.tolist()]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_truncated_normal_proposal_is_finite_and_positive_at_the_edge_uniforms():
+    for center in CENTERS:
+        for scale in SCALES:
+            for u in (0.0, 1.0 - 2.0**-53):
+                draw = sample_truncated_normal(center, scale, FixedUniforms(u))
+                assert isinstance(draw, float) and math.isfinite(draw) and draw > 0.0
 
 
 def test_expit_matches_scipy_and_is_exact_at_the_infinities():
