@@ -53,11 +53,12 @@ COMMANDS = tuple(COMMAND_FIELDS)
 _MINIMUM = {"draws": 1, "burnin": 0, "thin": 1, "threads": 1, "nsim": 1, "n": 1, "t": 1}
 
 # The config-file keys that are no flag, each with the commands that read it,
-# and the smallest value of those that are integers.
+# and the smallest value of those that are integers. A config file holds no
+# key but these and the flags of some command.
 CONFIG_ONLY = {"theta": ("simulate", "decompose"), "heteroskedastic": ("simulate",),
                "cohort_size": ("decompose",), "cohort_periods": ("decompose",)}
 _CONFIG_MINIMUM = {"cohort_size": 2, "cohort_periods": 1}
-_KEYS = sorted({*CONFIG_ONLY, *(f for fields in COMMAND_FIELDS.values() for f in fields)})
+_CONFIG_KEYS = sorted({*CONFIG_ONLY, *(f for fields in COMMAND_FIELDS.values() for f in fields)})
 
 # argparse options of the flags that are not free strings
 _FLAG_OPTIONS = {
@@ -120,7 +121,7 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str]]:
     if command not in COMMANDS:
         errors.append(f"command: {command!r} is not one of {COMMANDS}")
         return None, errors
-    errors += [f"{k}: unknown key, expected one of {_KEYS}" for k in cfg if k not in _KEYS]
+    errors += [f"{k}: unknown key, expected one of {_CONFIG_KEYS}" for k in cfg if k not in _CONFIG_KEYS]
     fields = COMMAND_FIELDS[command]
     extra = {k: cfg[k] for k, readers in CONFIG_ONLY.items() if k in cfg and command in readers}
     rc = RunConfig(command=command, extra=extra, **{k: cfg[k] for k in fields if k in cfg})
