@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -102,12 +101,10 @@ class ChainOutput:
                 arr = arr.reshape(arr.shape[0], -1)
                 header += [name] if arr.shape[1] == 1 else [f"{name}[{j}]" for j in range(arr.shape[1])]
                 blocks.append(arr)
-            buf = io.StringIO()
-            np.savetxt(buf, np.hstack(blocks), fmt="%.17g", delimiter=",", header=",".join(header),
-                       comments="")
-            text = buf.getvalue()
-            (path / fname).write_text(text, encoding="utf-8")
-            digest.update(text.encode())
+            with open(path / fname, "wb") as fh:
+                for text in _csv_chunks(header, blocks):
+                    fh.write(text)
+                    digest.update(text)
             written.append(fname)
 
         def finite(v):  # NaN (an acceptance rate with no proposals) is not JSON; write null
@@ -122,6 +119,38 @@ class ChainOutput:
             "unit_ids": list(self.unit_ids),
             "content_sha256": digest.hexdigest(),
         })
+
+
+# Cells of a chain CSV formatted at a time, so that a file's text is never
+# held whole: a chunk is at most about 1.6 MB of text.
+_CHUNK_CELLS = 1 << 16
+
+# The format of one cell, indexed by its code: 0 (+0.0) and 1 (1.0) are
+# written as literals and any other value as "%.17g"; codes 3-5 end a row.
+# NUL bytes pad each format to 6 bytes and are dropped.
+_CELL_FORMATS = np.frombuffer(b"0\0\0\0\0,1\0\0\0\0,%.17g,0\0\0\0\0\n1\0\0\0\0\n%.17g\n",
+                              np.uint8).reshape(6, 6)
+
+
+def _csv_chunks(header: Sequence[str], blocks: Sequence[np.ndarray]) -> Iterable[bytes]:
+    """The CSV text of the 2-D `blocks` side by side under `header`, in
+    chunks of whole rows: the text np.savetxt writes with fmt="%.17g"."""
+    yield (",".join(header) + "\n").encode()
+    step = max(1, _CHUNK_CELLS // len(header))
+    for start in range(0, blocks[0].shape[0], step):
+        yield _format_rows(np.hstack([block[start:start + step] for block in blocks]))
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """CSV lines of a C-contiguous 2-D float array, each value as "%.17g"
+    formats it. The spike-and-slab draws are mostly exact 0s and 1s, so only
+    the other values go through the % operator."""
+    code = (rows != 1.0).view(np.uint8) + 1  # 1 at 1.0, 2 elsewhere
+    code[rows.view(np.int64) == 0] = 0  # +0.0 only: -0.0 formats as "-0"
+    real = code == 2
+    code[:, -1] += 3
+    template = _CELL_FORMATS.take(code.ravel(), axis=0).ravel()
+    return template[template.view(bool)].tobytes() % tuple(rows[real].tolist())
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

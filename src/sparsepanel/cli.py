@@ -33,7 +33,7 @@ from sparsepanel.forecast import (
 from sparsepanel.m1 import M1Config, VARIANTS as M1_VARIANTS, run_m1
 from sparsepanel.m2 import M2Config, VARIANTS as M2_VARIANTS, run_m2, run_m2_individual
 from sparsepanel.mc import MCDesign, run_experiment
-from sparsepanel.panel import load_panel, simulate_m1, simulate_m2, write_panel
+from sparsepanel.panel import M2_BLOCKS, load_panel, simulate_m1, simulate_m2, write_panel
 from sparsepanel.rng import RngStream
 
 # The RunConfig fields each command reads, each also a flag of that command.
@@ -50,7 +50,7 @@ COMMAND_FIELDS = {
 COMMANDS = tuple(COMMAND_FIELDS)
 
 # Smallest value of each integer setting but the seed (nsim may also be unset).
-_MINIMUM = {"draws": 1, "burnin": 0, "thin": 1, "threads": 1, "nsim": 1, "n": 1, "t": 1}
+_MINIMUM = {"draws": 1, "burnin": 0, "thin": 1, "threads": 1, "nsim": 1, "n": 1, "t": 2}
 
 # The config-file keys that are no flag, each with the commands that read it,
 # and the smallest value of those that are integers. A config file holds no
@@ -83,6 +83,45 @@ DECOMPOSE_STREAM = 5
 _DESIGN_KEYS = tuple(f for f in MCDesign.__dataclass_fields__ if f not in ("theta", "hyper"))
 _DESIGN_LISTS = ("q_grid", "v_delta_alpha_grid", "estimators")
 _THETA_KEYS = tuple(CommonState.__dataclass_fields__)
+
+
+def _is_int(value) -> bool:
+    """An integer setting's type test: JSON true and false are no integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_numbers(value) -> bool:
+    """A number, or a non-empty list of them (nested for a matrix)."""
+    if isinstance(value, list):
+        return bool(value) and all(_is_numbers(v) for v in value)
+    return _is_number(value)
+
+
+def _theta_errors(theta, blocks: Tuple[str, ...]) -> List[str]:
+    """The errors of a config file's `theta` entries, for a model whose
+    unit-level blocks are `blocks`."""
+    if not isinstance(theta, dict):
+        return [f"theta: must be a JSON object, got {theta!r}"]
+    errors = []
+    for name, value in theta.items():
+        if name not in _THETA_KEYS:
+            errors.append(f"theta: unknown parameter {name!r}, expected one of {_THETA_KEYS}")
+        elif name != "q":
+            if not _is_numbers(value):
+                errors.append(f"theta: {name} must be a number or a list of numbers, got {value!r}")
+        elif not isinstance(value, dict):
+            errors.append(f"theta: q must be a JSON object of blocks, got {value!r}")
+        else:
+            for block, prob in value.items():
+                if block not in blocks:
+                    errors.append(f"theta: q has unknown block {block!r}, expected one of {blocks}")
+                elif not (_is_number(prob) and 0.0 <= prob <= 1.0):
+                    errors.append(f"theta: q[{block!r}] must be a number in [0, 1], got {prob!r}")
+    return errors
 
 
 @dataclass
@@ -140,14 +179,14 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str]]:
         value, lowest = getattr(rc, name), _MINIMUM.get(name)
         if lowest is None or (name == "nsim" and value is None):
             continue
-        if not (isinstance(value, int) and value >= lowest):
+        if not (_is_int(value) and value >= lowest):
             errors.append(f"{name}: must be an integer >= {lowest}, got {value!r}")
             bad.add(name)
     # montecarlo checks the chain lengths its design resolves to (_mc_design)
     if (command != "montecarlo" and "burnin" in fields and not bad & {"draws", "burnin"}
             and rc.burnin >= rc.draws):
         errors.append(f"burnin: must be smaller than draws (burnin={rc.burnin}, draws={rc.draws})")
-    if not (isinstance(rc.seed, int) and 0 <= rc.seed < 2**64):
+    if not (_is_int(rc.seed) and 0 <= rc.seed < 2**64):
         errors.append(f"seed: must be an integer in [0, 2**64), got {rc.seed!r}")
     for name in ("data", "design", "out"):  # only out may not be unset
         value = getattr(rc, name)
@@ -175,16 +214,13 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str]]:
                 errors.append(f"horizons: must be distinct positive integers, got {list(rc.horizons)}")
     for name, lowest in _CONFIG_MINIMUM.items():
         value = extra.get(name, lowest)
-        if isinstance(value, bool) or not (isinstance(value, int) and value >= lowest):
+        if not (_is_int(value) and value >= lowest):
             errors.append(f"{name}: must be an integer >= {lowest}, got {value!r}")
     if not isinstance(extra.get("heteroskedastic", False), bool):
         errors.append(f"heteroskedastic: must be true or false, got {extra['heteroskedastic']!r}")
-    theta = extra.get("theta", {})
-    if not isinstance(theta, dict):
-        errors.append(f"theta: must be a JSON object, got {theta!r}")
-    else:
-        errors += [f"theta: unknown parameter {name!r}, expected one of {_THETA_KEYS}"
-                   for name in theta if name not in _THETA_KEYS]
+    if "theta" in extra:  # checked against the model it simulates, M2 for decompose
+        m1 = command == "simulate" and rc.model == "m1"
+        errors += _theta_errors(extra["theta"], ("alpha", "rho", "sigma") if m1 else M2_BLOCKS)
     if command == "forecast" and rc.model != "m2":
         errors.append("model: forecasting requires model m2")
     if command == "montecarlo" and not errors:

@@ -1,10 +1,14 @@
 """Tests for chain summaries and on-disk chain serialization."""
 
+import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sparsepanel import chainout
 from sparsepanel.blocks import HyperParams
 from sparsepanel.chainout import ChainOutput, DrawRecorder, hpd_interval, summarize
 from sparsepanel.cli import _default_m2_truth
@@ -82,6 +86,66 @@ def test_to_dir_writes_non_finite_summaries_as_null(tmp_path):
     summaries = json.loads((tmp_path / "manifest.json").read_text())["summaries"]
     assert summaries["a"]["mean"] is None
     assert summaries["b"] == summarize(chain.common["b"])
+
+
+# Values whose text is easy to get wrong: the literals 0 and 1, -0.0, the
+# non-finite values and the extremes of float64.
+SPECIAL = np.array([0.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308])
+
+
+def _savetxt_text(header, table):
+    """The reference text of a chain CSV."""
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 7, 64, 1 << 16])
+def test_chain_csv_text_matches_savetxt(chunk_cells, tmp_path, monkeypatch):
+    monkeypatch.setattr(chainout, "_CHUNK_CELLS", chunk_cells)
+    gen = np.random.default_rng(34)
+    layouts = [
+        {"a": (1,)},  # 1 x 1
+        {"b": (1, 5), "a": (1,)},  # one row
+        {"a": (40,)},  # one column
+        {"c": (30, 2, 2), "a": (30,), "b": (30, 3)},
+        {"b": (100, 300), "a": (100, 400)},  # 70,000 cells: crosses the default chunk
+    ]
+    for k, layout in enumerate(layouts):
+        tables = {}
+        for name, shape in layout.items():
+            values = gen.standard_normal(shape) * 10.0 ** gen.integers(-300, 300, shape)
+            special = gen.random(shape) < 0.6
+            values[special] = gen.choice(SPECIAL, special.sum())
+            tables[name] = values
+        rows = next(iter(tables.values())).shape[0]
+        chain = ChainOutput(common={"k": np.arange(rows, dtype=float)}, unit=tables)
+        chain.to_dir(tmp_path / str(k))
+        header = [name if tables[name].ndim == 1 else f"{name}[{j}]"
+                  for name in sorted(tables) for j in range(tables[name][0].size)]
+        flat = np.hstack([tables[name].reshape(rows, -1) for name in sorted(tables)])
+        expected = [_savetxt_text(["k"], chain.common["k"]), _savetxt_text(header, flat)]
+        assert (tmp_path / str(k) / "common.csv").read_text() == expected[0]
+        assert (tmp_path / str(k) / "unit.csv").read_text() == expected[1]
+        manifest = json.loads((tmp_path / str(k) / "manifest.json").read_text())
+        assert manifest["content_sha256"] == hashlib.sha256("".join(expected).encode()).hexdigest()
+
+
+def test_to_dir_holds_one_chunk_of_text_at_a_time(tmp_path):
+    # A unit table of the size `m1-estimate` writes, mostly at the spike:
+    # 14 MB of draws and 10 MB of text.
+    gen = np.random.default_rng(35)
+    u = gen.random((600, 3000))
+    table = np.where(u < 0.49, 0.0, np.where(u < 0.8, 1.0, gen.standard_normal(u.shape)))
+    chain = ChainOutput(common={"k": np.zeros(600)}, unit={"delta": table})
+    tracemalloc.start()
+    try:
+        chain.to_dir(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "unit.csv").stat().st_size > 9e6
+    assert peak < 8e6
 
 
 def test_recorder_keeps_thinned_draws_and_unit_means():

@@ -363,6 +363,9 @@ def test_decompose_command(tmp_path, capsys):
     ({"cohort_periods": 2.0}, "cohort_periods: must be an integer >= 1, got 2.0"),
     ({"theta": {"sigma": 9.0}}, "theta: unknown parameter 'sigma'"),
     ({"theta": [1.0]}, "theta: must be a JSON object, got [1.0]"),
+    ({"theta": {"q": {"sigma": 0.2}}}, "theta: q has unknown block 'sigma'"),
+    ({"theta": {"v_delta_alpha": [[0.3, 0.0], []]}},
+     "theta: v_delta_alpha must be a number or a list of numbers, got [[0.3, 0.0], []]"),
 ])
 def test_bad_decompose_setting_exits_2(setting, message, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -378,6 +381,17 @@ def test_bad_decompose_setting_exits_2(setting, message, tmp_path, capsys):
     ({"burn_in": 3}, "burn_in: unknown key"),
     ({"theta": {"sigma": 9.0}}, "theta: unknown parameter 'sigma'"),
     ({"heteroskedastic": "yes"}, "heteroskedastic: must be true or false, got 'yes'"),
+    ({"t": 1}, "t: must be an integer >= 2, got 1"),
+    ({"n": True, "t": True}, "n: must be an integer >= 1, got True"),
+    ({"n": True, "t": True}, "t: must be an integer >= 2, got True"),
+    ({"seed": False}, "seed: must be an integer in [0, 2**64), got False"),
+    ({"theta": {"q": 0.3}}, "theta: q must be a JSON object of blocks, got 0.3"),
+    ({"theta": {"q": {"sigma_u": 0.3}}}, "theta: q has unknown block 'sigma_u'"),
+    ({"theta": {"q": {"alpha": 1.5}}}, "theta: q['alpha'] must be a number in [0, 1], got 1.5"),
+    ({"theta": {"q": {"rho": True}}}, "theta: q['rho'] must be a number in [0, 1], got True"),
+    ({"theta": {"rho": "0.5"}}, "theta: rho must be a number or a list of numbers, got '0.5'"),
+    ({"theta": {"alpha": [1.0, None]}},
+     "theta: alpha must be a number or a list of numbers, got [1.0, None]"),
 ])
 def test_bad_simulate_setting_exits_2(setting, message, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -386,6 +400,28 @@ def test_bad_simulate_setting_exits_2(setting, message, tmp_path, capsys):
                              capsys)
     assert code == 2 and out == ""
     assert any(line.startswith("error: " + message) for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("model, command", [("m1", "estimate"), ("m2", "forecast")])
+def test_two_simulated_periods_can_be_fitted(model, command, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    code, _, err = run_cli(["simulate", "--model", model, "--n", "5", "--t", "2", "--out", str(sim)],
+                           capsys)
+    assert code == 0, err
+    code, _, err = run_cli([command, "--model", model, "--data", str(sim / "panel.csv"), "--draws",
+                            "4", "--burnin", "2", "--out", str(tmp_path / "fit")], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command, model, q", [
+    ("simulate", "m1", {"alpha": 0, "rho": 1.0, "sigma": 0.5}),
+    ("simulate", "m2", {"sigma_u": 0.0, "sigma_eps": 1}),
+    ("decompose", "m1", {"alpha": 0.0, "sigma_eps": 0.5}),  # decompose simulates M2
+])
+def test_theta_entries_of_the_model_pass(command, model, q):
+    theta = {"q": q, "v_delta_alpha": [[0.3, 0.0], [0.0, 0.05]], "rho": 0.5, "sigma2_u": [0.04]}
+    _, errors = validate_config({"command": command, "model": model, "theta": theta})
+    assert errors == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

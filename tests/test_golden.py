@@ -9,12 +9,14 @@ purpose records new digests here and says so in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from sparsepanel.blocks import CommonState, HyperParams
 from sparsepanel.forecast import inequality_decomposition, predict
+from sparsepanel.m1 import M1Config, run_m1
 from sparsepanel.m2 import M2Config, run_m2, run_m2_individual
 from sparsepanel.mc import MCDesign
 from sparsepanel.panel import simulate_m1, simulate_m2
@@ -40,9 +42,13 @@ def m2_panel(n=8, t=6):
     return simulate_m2(m2_theta(t), HyperParams.m2_defaults(), n, t, profile, RngStream(11, 1))
 
 
+def m1_panel():
+    return simulate_m1(MCDesign(model="m1_hetsk").theta, HyperParams.m1_defaults(), 7, 5,
+                       RngStream(11, 1), heteroskedastic=True)
+
+
 def case_simulate_m1():
-    data, truth = simulate_m1(MCDesign(model="m1_hetsk").theta, HyperParams.m1_defaults(), 7, 5,
-                              RngStream(11, 1), heteroskedastic=True)
+    data, truth = m1_panel()
     return np.concatenate([data.y[:, 1:].ravel(), truth.delta_alpha, truth.delta_rho,
                            truth.delta_sigma])
 
@@ -105,3 +111,26 @@ def test_fixed_seed_stream_is_unchanged(name):
     size, first, sha = GOLDEN[name]
     assert (values.size, float(values[0])) == (size, first)
     assert digest(values) == sha
+
+
+# The chain files `estimate` writes, pinned by the manifest's content_sha256:
+# the bytes of every CSV, so both the draws and their text are fixed.
+CHAINS = {
+    "estimate_m1_ss_hetsk": lambda: run_m1(
+        m1_panel()[0], M1Config(variant="ss_hetsk", n_draws=60, burn_in=20), RngStream(11, 2)),
+    "estimate_m2_baseline": lambda: run_m2(
+        m2_panel()[0], M2Config(variant="baseline", n_draws=40, burn_in=20), RngStream(11, 2)),
+}
+
+GOLDEN_CHAINS = {
+    "estimate_m1_ss_hetsk": "ab094ac647c5b0a2fb3db597acecc4a4c1f78ea9623cc673fd9285f3454496ee",
+    "estimate_m2_baseline": "032bdd55f3f086489346a4d692e7fc818f6e14b5d2cec790bef2df1a97561049",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_fixed_seed_chain_files_are_unchanged(name, tmp_path):
+    CHAINS[name]().to_dir(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["files"] == ["common.csv", "unit.csv", "unit_means.csv"]
+    assert manifest["content_sha256"] == GOLDEN_CHAINS[name]
