@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from sparsepanel.blocks import CommonState, HyperParams
+from sparsepanel.cli import main
 from sparsepanel.forecast import inequality_decomposition, predict
 from sparsepanel.m1 import M1Config, run_m1
 from sparsepanel.m2 import M2Config, run_m2, run_m2_individual
@@ -134,3 +135,37 @@ def test_fixed_seed_chain_files_are_unchanged(name, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["files"] == ["common.csv", "unit.csv", "unit_means.csv"]
     assert manifest["content_sha256"] == GOLDEN_CHAINS[name]
+
+
+# Files the CLI writes from a config file's `theta`, pinned by the SHA-256 of
+# their bytes: every `theta` entry each model has, given in each form a config
+# file may give it, reaches the simulator as the same truth.
+CLI_RUNS = {
+    "simulate_m1_theta": (["simulate", "--model", "m1", "--n", "9", "--t", "5", "--seed", "4"], {
+        "theta": {"alpha": 2, "rho": 0.5, "sigma2": 0.6, "v_delta_alpha": 0.3,
+                  "v_delta_rho": 0.05, "q": {"alpha": 0.5, "rho": 0.3, "sigma": 0.0}}},
+        "panel.csv"),
+    "simulate_m2_theta": (["simulate", "--model", "m2", "--n", "7", "--t", "4", "--seed", "4"], {
+        "theta": {"alpha": [1.2, 0.4], "rho": 0.6, "v_delta_alpha": [[0.2, 0.01], [0.01, 0.04]],
+                  "v_delta_rho": 0.01, "sigma2_u": 0.05, "sigma2_eps": [0.01, 0.02, 0.03, 0.04],
+                  "v_delta_sigma_u": 0.5, "v_delta_sigma_eps": 2, "mu_s0": 0.1, "v_s0": 0.02,
+                  "q": {"alpha": 0.5, "rho": 0.3, "sigma_u": 0.6, "sigma_eps": 0.2}}},
+        "panel.csv"),
+    "decompose_sigma2_u_list": (["decompose", "--seed", "4"], {
+        "cohort_size": 200, "cohort_periods": 5, "theta": {"sigma2_u": [0.04]}},
+        "decomposition.csv"),
+}
+
+GOLDEN_CLI = {
+    "simulate_m1_theta": "89470a688d568b53d4ad88b7df5b9b48c5747002d59d2d15c5ac59f5fa56844a",
+    "simulate_m2_theta": "1dac17a7c74c63eb8d3f94027a9f329e071af58c188fd9143cee7a75f0574719",
+    "decompose_sigma2_u_list": "2c6c97771f2b91da8e6e604f7802a6143c53e1bf4f40e3a4784784c74a8f6b64",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_fixed_seed_cli_output_is_unchanged(name, tmp_path):
+    argv, config, output = CLI_RUNS[name]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == GOLDEN_CLI[name]
