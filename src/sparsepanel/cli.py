@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,40 +32,42 @@ from sparsepanel.forecast import (
 from sparsepanel.m1 import M1Config, VARIANTS as M1_VARIANTS, run_m1
 from sparsepanel.m2 import M2Config, VARIANTS as M2_VARIANTS, run_m2, run_m2_individual
 from sparsepanel.mc import MCDesign, run_experiment
-from sparsepanel.panel import M2_BLOCKS, load_panel, simulate_m1, simulate_m2, write_panel
+from sparsepanel.panel import load_panel, simulate_m1, simulate_m2, write_panel
 from sparsepanel.rng import RngStream
 
-# The RunConfig fields each command reads, each also a flag of that command.
-# A config file may set any field for any command, so that one file serves a
-# whole workflow; a command ignores the fields it does not read.
-_CHAIN_FIELDS = ("model", "variant", "data", "draws", "burnin", "thin", "seed", "out")
-COMMAND_FIELDS = {
-    "simulate": ("model", "n", "t", "seed", "out"),
-    "estimate": _CHAIN_FIELDS,
-    "montecarlo": ("design", "nsim", "draws", "burnin", "seed", "threads", "out"),
-    "forecast": _CHAIN_FIELDS + ("scenario", "horizons"),
-    "decompose": ("seed", "out"),
+# Every setting, declared once: {name: (default, rule, the commands that
+# read it)}. A rule is an integer minimum, a tuple of choices, or one of
+# "bool", "path", "seed", "horizons", "variant" and "theta" (see _errors).
+# Each setting a command reads is a flag of that command, but the CONFIG_ONLY
+# ones. A config file may set any setting for any command, so that one file
+# serves a whole workflow; a command ignores the settings it does not read.
+COMMANDS = ("simulate", "estimate", "montecarlo", "forecast", "decompose")
+_CHAINS = ("estimate", "forecast")
+SETTINGS = {
+    "model": ("m1", ("m1", "m2"), ("simulate", *_CHAINS)),
+    "n": (100, 1, ("simulate",)),
+    "t": (8, 2, ("simulate",)),  # no model fits a single period
+    "variant": (None, "variant", _CHAINS),  # None: the model's first variant
+    "data": (None, "path", _CHAINS),
+    "design": (None, "path", ("montecarlo",)),
+    "nsim": (None, 1, ("montecarlo",)),  # None: the design's n_sim
+    "draws": (5000, 1, ("montecarlo", *_CHAINS)),
+    "burnin": (2500, 0, ("montecarlo", *_CHAINS)),
+    "thin": (1, 1, _CHAINS),
+    "seed": (0, "seed", COMMANDS),
+    "threads": (1, 1, ("montecarlo",)),  # SPARSEPANEL_THREADS when no flag or key sets it
+    "out": ("out", "path", COMMANDS),
+    "scenario": ("full_info_param_unc", SCENARIOS, ("forecast",)),
+    "horizons": ((1,), "horizons", ("forecast",)),
+    "heteroskedastic": (False, "bool", ("simulate",)),
+    "cohort_size": (10_000, 2, ("decompose",)),
+    "cohort_periods": (20, 1, ("decompose",)),
+    "theta": ({}, "theta", ("simulate", "decompose")),  # after the settings its truth reads
 }
-COMMANDS = tuple(COMMAND_FIELDS)
-
-# Smallest value of each integer setting but the seed (nsim may also be unset).
-_MINIMUM = {"draws": 1, "burnin": 0, "thin": 1, "threads": 1, "nsim": 1, "n": 1, "t": 2}
-
-# The config-file keys that are no flag, each with the commands that read it,
-# and the smallest value of those that are integers. A config file holds no
-# key but these and the flags of some command.
-CONFIG_ONLY = {"theta": ("simulate", "decompose"), "heteroskedastic": ("simulate",),
-               "cohort_size": ("decompose",), "cohort_periods": ("decompose",)}
-_CONFIG_MINIMUM = {"cohort_size": 2, "cohort_periods": 1}
-_CONFIG_KEYS = sorted({*CONFIG_ONLY, *(f for fields in COMMAND_FIELDS.values() for f in fields)})
-
-# argparse options of the flags that are not free strings
-_FLAG_OPTIONS = {
-    "model": {"choices": ("m1", "m2")},
-    "scenario": {"choices": SCENARIOS},
-    "horizons": {"help": "comma-separated, e.g. 1,2,3"},
-    **{name: {"type": int} for name in (*_MINIMUM, "seed")},
-}
+CONFIG_ONLY = ("heteroskedastic", "cohort_size", "cohort_periods", "theta")
+COMMAND_FIELDS = {command: tuple(name for name, (_, _, readers) in SETTINGS.items()
+                                 if command in readers and name not in CONFIG_ONLY)
+                  for command in COMMANDS}
 
 # Every command draws from RngStream(seed, <purpose>) with one of these
 # purposes; the single-unit models of all units run as one chain on
@@ -82,7 +83,6 @@ DECOMPOSE_STREAM = 5
 # those of them that hold lists.
 _DESIGN_KEYS = tuple(f for f in MCDesign.__dataclass_fields__ if f not in ("theta", "hyper"))
 _DESIGN_LISTS = ("q_grid", "v_delta_alpha_grid", "estimators")
-_THETA_KEYS = tuple(CommonState.__dataclass_fields__)
 
 
 def _is_int(value) -> bool:
@@ -90,137 +90,119 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def _shape(value) -> Optional[Tuple[int, ...]]:
+    """The shape of a number or of a non-empty, rectangular (nested) list of
+    numbers; None for anything else."""
+    if not isinstance(value, list):
+        return () if _is_int(value) or isinstance(value, float) else None
+    shapes = {_shape(v) for v in value}
+    return None if len(shapes) != 1 or None in shapes else (len(value), *shapes.pop())
 
 
-def _is_numbers(value) -> bool:
-    """A number, or a non-empty list of them (nested for a matrix)."""
-    if isinstance(value, list):
-        return bool(value) and all(_is_numbers(v) for v in value)
-    return _is_number(value)
-
-
-def _theta_errors(theta, blocks: Tuple[str, ...]) -> List[str]:
-    """The errors of a config file's `theta` entries, for a model whose
-    unit-level blocks are `blocks`."""
+def _fill_theta(theta, truth: CommonState) -> List[str]:
+    """Fill a config file's `theta` entries into `truth`, the default truth
+    of the model the command simulates, and return their errors: each entry
+    must be one of its parameters, with its shape (the per-period variances
+    may also be one number), and `q` an object of its blocks."""
     if not isinstance(theta, dict):
         return [f"theta: must be a JSON object, got {theta!r}"]
+    names = tuple(k for k, v in vars(truth).items() if v is not None)
     errors = []
     for name, value in theta.items():
-        if name not in _THETA_KEYS:
-            errors.append(f"theta: unknown parameter {name!r}, expected one of {_THETA_KEYS}")
+        if name not in names:
+            errors.append(f"theta: unknown parameter {name!r}, expected one of {names}")
         elif name != "q":
-            if not _is_numbers(value):
+            shape, got = np.shape(getattr(truth, name)), _shape(value)
+            per_period = name in ("sigma2_u", "sigma2_eps")
+            if got is None:
                 errors.append(f"theta: {name} must be a number or a list of numbers, got {value!r}")
+            elif got != shape and not (per_period and got in ((), (1,))):
+                want = f"a list of shape {list(shape)}" if shape else "a number"
+                want = f"a number or a list of 1 or {shape[0]} numbers" if per_period else want
+                errors.append(f"theta: {name} must be {want}, got {value!r}")
+            else:
+                filled = np.full(shape, value, dtype=float)
+                setattr(truth, name, filled if filled.ndim else float(filled))
         elif not isinstance(value, dict):
             errors.append(f"theta: q must be a JSON object of blocks, got {value!r}")
         else:
             for block, prob in value.items():
-                if block not in blocks:
-                    errors.append(f"theta: q has unknown block {block!r}, expected one of {blocks}")
-                elif not (_is_number(prob) and 0.0 <= prob <= 1.0):
+                if block not in truth.q:
+                    errors.append(f"theta: q has unknown block {block!r}, expected one of {tuple(truth.q)}")
+                elif not (_shape(prob) == () and 0.0 <= prob <= 1.0):
                     errors.append(f"theta: q[{block!r}] must be a number in [0, 1], got {prob!r}")
+                else:
+                    truth.q[block] = prob
     return errors
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved settings for one command invocation; a command reads
-    only its `COMMAND_FIELDS` and, in `extra`, its `CONFIG_ONLY` keys."""
+def _errors(rc: argparse.Namespace, name: str, rule, default, bad) -> List[str]:
+    """The errors of setting `name` of `rc` under its `rule`, given the names
+    of the settings found `bad` before it; resolves `variant` and `horizons`."""
+    value, problem = getattr(rc, name), None
+    if rule == "theta":  # filled into the truth of the model it replaces, once that is known
+        if bad & {"model", "t", "heteroskedastic", "cohort_periods"}:
+            return []
+        if rc.command == "simulate" and rc.model == "m1":  # the Monte Carlo design's truth
+            rc.theta = MCDesign(model="m1_hetsk" if rc.heteroskedastic else "m1_homosk").theta
+        else:  # M2's, which decompose simulates
+            rc.theta = _default_m2_truth(rc.t if rc.command == "simulate" else rc.cohort_periods)
+        return _fill_theta(value, rc.theta)
+    if isinstance(rule, tuple) and value not in rule:
+        problem = f"{value!r} is not one of {rule}"
+    elif isinstance(rule, int) and not (_is_int(value) and value >= rule or value is None and default is None):
+        problem = f"must be an integer >= {rule}, got {value!r}"
+    elif rule == "seed" and not (_is_int(value) and 0 <= value < 2**64):
+        problem = f"must be an integer in [0, 2**64), got {value!r}"
+    elif rule == "bool" and not isinstance(value, bool):
+        problem = f"must be true or false, got {value!r}"
+    elif rule == "path":  # data and design name inputs; only design may be unset
+        if value is None and default is None:
+            problem = f"required for the {rc.command} command" if name == "data" else None
+        elif not isinstance(value, str):
+            problem = f"must be a path string, got {value!r}"
+        elif name != "out" and not Path(value).exists():
+            problem = f"path {value!r} does not exist"
+    elif rule == "variant" and "model" not in bad:
+        variants = M1_VARIANTS if rc.model == "m1" else M2_VARIANTS
+        rc.variant = variants[0] if value is None else value
+        if rc.variant not in variants:
+            problem = f"{value!r} is not one of {variants} for model {rc.model}"
+    elif rule == "horizons":
+        try:  # through str, so that a config file's 1.5 is rejected, not truncated
+            parts = value.split(",") if isinstance(value, str) else value
+            rc.horizons = tuple(int(str(h)) for h in parts)
+        except (TypeError, ValueError):
+            problem = f"must be comma-separated integers, got {value!r}"
+        else:
+            if not (rc.horizons and min(rc.horizons) >= 1 and len(set(rc.horizons)) == len(rc.horizons)):
+                problem = f"must be distinct positive integers, got {list(rc.horizons)}"
+    return [f"{name}: {problem}"] if problem else []
 
-    command: str
-    model: str = "m1"
-    variant: Optional[str] = None
-    data: Optional[str] = None
-    draws: int = 5000
-    burnin: int = 2500
-    thin: int = 1
-    seed: int = 0
-    threads: int = 1
-    out: str = "out"
-    design: Optional[str] = None
-    nsim: Optional[int] = None
-    horizons: Tuple[int, ...] = (1,)
-    scenario: str = "full_info_param_unc"
-    n: int = 100
-    t: int = 8
-    extra: Dict = field(default_factory=dict)
 
+def validate_config(config: Dict) -> Tuple[Optional[argparse.Namespace], List[str]]:
+    """Resolve the settings the command reads and check each under its rule,
+    collecting every error. A key that no command reads is an error.
 
-def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str]]:
-    """Resolve defaults and check the settings the command reads, collecting
-    every error. A key that no command reads is an error.
-
-    Returns (run_config_or_None, errors).
+    Returns (run_config_or_None, errors); the run config holds `command` and
+    each setting the command reads.
     """
-    errors: List[str] = []
     cfg = dict(config)
     command = cfg.pop("command", "simulate")
     if command not in COMMANDS:
-        errors.append(f"command: {command!r} is not one of {COMMANDS}")
-        return None, errors
-    errors += [f"{k}: unknown key, expected one of {_CONFIG_KEYS}" for k in cfg if k not in _CONFIG_KEYS]
-    fields = COMMAND_FIELDS[command]
-    extra = {k: cfg[k] for k, readers in CONFIG_ONLY.items() if k in cfg and command in readers}
-    rc = RunConfig(command=command, extra=extra, **{k: cfg[k] for k in fields if k in cfg})
-
-    if "model" in fields:
-        if rc.model not in ("m1", "m2"):
-            errors.append(f"model: {rc.model!r} is not one of ('m1', 'm2')")
-        elif "variant" in fields:
-            variants = M1_VARIANTS if rc.model == "m1" else M2_VARIANTS
-            if rc.variant is None:
-                rc.variant = "ss_homosk" if rc.model == "m1" else "baseline"
-            elif rc.variant not in variants:
-                errors.append(f"variant: {rc.variant!r} is not one of {variants} for model {rc.model}")
+        return None, [f"command: {command!r} is not one of {COMMANDS}"]
+    errors = [f"{k}: unknown key, expected one of {sorted(SETTINGS)}" for k in cfg if k not in SETTINGS]
+    read = {name: row for name, row in SETTINGS.items() if command in row[2]}
+    rc = argparse.Namespace(command=command, **{k: cfg.get(k, row[0]) for k, row in read.items()})
     bad = set()
-    for name in fields:
-        value, lowest = getattr(rc, name), _MINIMUM.get(name)
-        if lowest is None or (name == "nsim" and value is None):
-            continue
-        if not (_is_int(value) and value >= lowest):
-            errors.append(f"{name}: must be an integer >= {lowest}, got {value!r}")
+    for name, (default, rule, _) in read.items():
+        found = _errors(rc, name, rule, default, bad)
+        errors += found
+        if found:
             bad.add(name)
     # montecarlo checks the chain lengths its design resolves to (_mc_design)
-    if (command != "montecarlo" and "burnin" in fields and not bad & {"draws", "burnin"}
-            and rc.burnin >= rc.draws):
+    if command in _CHAINS and not bad & {"draws", "burnin"} and rc.burnin >= rc.draws:
         errors.append(f"burnin: must be smaller than draws (burnin={rc.burnin}, draws={rc.draws})")
-    if not (_is_int(rc.seed) and 0 <= rc.seed < 2**64):
-        errors.append(f"seed: must be an integer in [0, 2**64), got {rc.seed!r}")
-    for name in ("data", "design", "out"):  # only out may not be unset
-        value = getattr(rc, name)
-        if name in fields and not (isinstance(value, str) or value is None and name != "out"):
-            errors.append(f"{name}: must be a path string, got {value!r}")
-            bad.add(name)
-    if "data" in fields and "data" not in bad:
-        if rc.data is None:
-            errors.append(f"data: required for the {command} command")
-        elif not Path(rc.data).exists():
-            errors.append(f"data: path {rc.data!r} does not exist")
-    if "design" in fields and "design" not in bad and rc.design is not None \
-            and not Path(rc.design).exists():
-        errors.append(f"design: path {rc.design!r} does not exist")
-    if "scenario" in fields and rc.scenario not in SCENARIOS:
-        errors.append(f"scenario: {rc.scenario!r} is not one of {SCENARIOS}")
-    if "horizons" in fields:
-        try:  # through str, so that a config file's 1.5 is rejected, not truncated
-            parts = rc.horizons.split(",") if isinstance(rc.horizons, str) else rc.horizons
-            rc.horizons = tuple(int(str(h)) for h in parts)
-        except (TypeError, ValueError):
-            errors.append(f"horizons: must be comma-separated integers, got {rc.horizons!r}")
-        else:
-            if not (rc.horizons and min(rc.horizons) >= 1 and len(set(rc.horizons)) == len(rc.horizons)):
-                errors.append(f"horizons: must be distinct positive integers, got {list(rc.horizons)}")
-    for name, lowest in _CONFIG_MINIMUM.items():
-        value = extra.get(name, lowest)
-        if not (_is_int(value) and value >= lowest):
-            errors.append(f"{name}: must be an integer >= {lowest}, got {value!r}")
-    if not isinstance(extra.get("heteroskedastic", False), bool):
-        errors.append(f"heteroskedastic: must be true or false, got {extra['heteroskedastic']!r}")
-    if "theta" in extra:  # checked against the model it simulates, M2 for decompose
-        m1 = command == "simulate" and rc.model == "m1"
-        errors += _theta_errors(extra["theta"], ("alpha", "rho", "sigma") if m1 else M2_BLOCKS)
     if command == "forecast" and rc.model != "m2":
         errors.append("model: forecasting requires model m2")
     if command == "montecarlo" and not errors:
@@ -231,7 +213,7 @@ def validate_config(config: Dict) -> Tuple[Optional[RunConfig], List[str]]:
     return (None if errors else rc), errors
 
 
-def _mc_design(rc: RunConfig) -> Tuple[Optional[MCDesign], List[str]]:
+def _mc_design(rc: argparse.Namespace) -> Tuple[Optional[MCDesign], List[str]]:
     """The design of a `montecarlo` run: the design file's entries over
     MCDesign's defaults, `nsim` over the file's n_sim, and `draws` and
     `burnin` where the file sets no chain length. Returns (design or None,
@@ -264,18 +246,6 @@ def _mc_design(rc: RunConfig) -> Tuple[Optional[MCDesign], List[str]]:
         return None, [f"design: {exc}"]
 
 
-def _threads_default():
-    """SPARSEPANEL_THREADS as an integer, 1 when it is unset or empty. A value
-    that is no integer comes back as given, for validate_config to reject."""
-    env = os.environ.get("SPARSEPANEL_THREADS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        return env
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsepanel")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         for name in fields:
-            p.add_argument("--" + name, **_FLAG_OPTIONS.get(name, {}))
+            rule = SETTINGS[name][1]
+            p.add_argument("--" + name, **(
+                {"choices": rule} if isinstance(rule, tuple) else
+                {"type": int} if isinstance(rule, int) or rule == "seed" else
+                {"help": "comma-separated, e.g. 1,2,3"} if rule == "horizons" else {}))
     return parser
 
 
@@ -293,8 +267,12 @@ def _resolve_config(args: argparse.Namespace) -> Dict:
         raise ValueError(f"{args.config!r} must hold a JSON object")
     fields = COMMAND_FIELDS[args.command]
     cfg.update({name: getattr(args, name) for name in fields if getattr(args, name) is not None})
-    if "threads" in fields and "threads" not in cfg:
-        cfg["threads"] = _threads_default()
+    if "threads" in fields and "threads" not in cfg:  # SPARSEPANEL_THREADS, 1 when unset or empty
+        env = os.environ.get("SPARSEPANEL_THREADS") or "1"
+        try:
+            cfg["threads"] = int(env)
+        except ValueError:  # for validate_config to reject
+            cfg["threads"] = env
     cfg["command"] = args.command
     return cfg
 
@@ -303,7 +281,7 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _write_manifest(out_dir: Path, rc: RunConfig, wall_time: float, outputs: List[str]) -> None:
+def _write_manifest(out_dir: Path, rc: argparse.Namespace, wall_time: float, outputs: List[str]) -> None:
     write_manifest(out_dir / "run_manifest.json", {
         "config": {k: getattr(rc, k) for k in ("command",) + COMMAND_FIELDS[rc.command]},
         "seed": rc.seed,
@@ -335,47 +313,27 @@ def _default_m2_truth(t: int) -> CommonState:
     )
 
 
-def _theta_from_config(model: str, t: int, extra: Dict) -> CommonState:
-    """The default truth of `model` over `t` periods, with the config file's `theta` entries."""
-    theta = MCDesign(model="m1_homosk").theta if model == "m1" else _default_m2_truth(t)
-    for name, val in extra.get("theta", {}).items():
-        if name == "q":
-            theta.q.update(val)
-        elif name in ("sigma2_u", "sigma2_eps") and np.isscalar(val):
-            setattr(theta, name, np.full(t, float(val)))
-        elif name in ("alpha", "v_delta_alpha") and model == "m2":
-            setattr(theta, name, np.asarray(val, dtype=float))
-        else:
-            setattr(theta, name, val)
-    return theta
-
-
-def _cmd_simulate(rc: RunConfig) -> Dict:
+def _cmd_simulate(rc: argparse.Namespace) -> Dict:
     rng = RngStream(rc.seed, SIMULATE_STREAM)
-    theta = _theta_from_config(rc.model, rc.t, rc.extra)
     if rc.model == "m1":
-        hetsk = bool(rc.extra.get("heteroskedastic", False))
-        data, _ = simulate_m1(theta, HyperParams.m1_defaults(), rc.n, rc.t, rng,
-                              heteroskedastic=hetsk)
+        data, _ = simulate_m1(rc.theta, HyperParams.m1_defaults(), rc.n, rc.t, rng,
+                              heteroskedastic=rc.heteroskedastic)
     else:
         profile = np.cumsum(np.ones((rc.n, rc.t)), axis=1)
-        data, _ = simulate_m2(theta, HyperParams.m2_defaults(), rc.n, rc.t, profile, rng)
+        data, _ = simulate_m2(rc.theta, HyperParams.m2_defaults(), rc.n, rc.t, profile, rng)
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
     write_panel(data, out / "panel.csv")
     return {"panel": str(out / "panel.csv"), "n": rc.n, "t": rc.t}
 
 
-def _estimate_chain(rc: RunConfig, data):
-    rng = RngStream(rc.seed, CHAIN_STREAM)
-    if rc.model == "m1":
-        config = M1Config(variant=rc.variant, n_draws=rc.draws, burn_in=rc.burnin, thin=rc.thin)
-        return run_m1(data, config, rng)
-    config = M2Config(variant=rc.variant, n_draws=rc.draws, burn_in=rc.burnin, thin=rc.thin)
-    return run_m2(data, config, rng)
+def _estimate_chain(rc: argparse.Namespace, data):
+    config, run = (M1Config, run_m1) if rc.model == "m1" else (M2Config, run_m2)
+    return run(data, config(variant=rc.variant, n_draws=rc.draws, burn_in=rc.burnin, thin=rc.thin),
+               RngStream(rc.seed, CHAIN_STREAM))
 
 
-def _cmd_estimate(rc: RunConfig) -> Dict:
+def _cmd_estimate(rc: argparse.Namespace) -> Dict:
     _progress(f"loading panel from {rc.data}")
     data = load_panel(rc.data)
     _progress(f"running {rc.model}/{rc.variant}: {rc.draws} draws, {rc.burnin} burn-in")
@@ -385,7 +343,7 @@ def _cmd_estimate(rc: RunConfig) -> Dict:
     return {"chain_dir": str(out), "kept_draws": chain.n_draws}
 
 
-def _cmd_montecarlo(rc: RunConfig) -> Dict:
+def _cmd_montecarlo(rc: argparse.Namespace) -> Dict:
     design, _ = _mc_design(rc)  # validate_config found no error in it
     n_cells = len(design.q_grid) * len(design.v_delta_alpha_grid)
     table = run_experiment(
@@ -401,7 +359,7 @@ def _cmd_montecarlo(rc: RunConfig) -> Dict:
     return {"risk_table": str(out / "risk_table.csv"), "cells": n_cells}
 
 
-def _cmd_forecast(rc: RunConfig) -> Dict:
+def _cmd_forecast(rc: argparse.Namespace) -> Dict:
     data = load_panel(rc.data)
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -419,11 +377,10 @@ def _cmd_forecast(rc: RunConfig) -> Dict:
             "horizons": list(rc.horizons)}
 
 
-def _cmd_decompose(rc: RunConfig) -> Dict:
-    n = rc.extra.get("cohort_size", 10_000)
-    t = rc.extra.get("cohort_periods", 20)
-    theta = _theta_from_config("m2", t, rc.extra)
-    result = inequality_decomposition(theta, n=n, t=t, rng=RngStream(rc.seed, DECOMPOSE_STREAM))
+def _cmd_decompose(rc: argparse.Namespace) -> Dict:
+    n, t = rc.cohort_size, rc.cohort_periods
+    result = inequality_decomposition(rc.theta, n=n, t=t,
+                                      rng=RngStream(rc.seed, DECOMPOSE_STREAM))
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
     write_decomposition(result, out / "decomposition.csv")

@@ -392,6 +392,19 @@ def test_bad_decompose_setting_exits_2(setting, message, tmp_path, capsys):
     ({"theta": {"rho": "0.5"}}, "theta: rho must be a number or a list of numbers, got '0.5'"),
     ({"theta": {"alpha": [1.0, None]}},
      "theta: alpha must be a number or a list of numbers, got [1.0, None]"),
+    # each `theta` entry has the shape of the model's default truth
+    ({"theta": {"rho": [0.5, 0.6]}}, "theta: rho must be a number, got [0.5, 0.6]"),
+    ({"model": "m2", "t": 5, "theta": {"sigma2_u": [0.04, 0.04]}},
+     "theta: sigma2_u must be a number or a list of 1 or 5 numbers, got [0.04, 0.04]"),
+    ({"model": "m2", "t": 5, "theta": {"v_delta_alpha": 0.5}},
+     "theta: v_delta_alpha must be a list of shape [2, 2], got 0.5"),
+    ({"heteroskedastic": True, "theta": {"v_delta_sigma": [1.0]}},
+     "theta: v_delta_sigma must be a number, got [1.0]"),
+    ({"theta": {"sigma2_u": [0.04, 0.04]}}, "theta: unknown parameter 'sigma2_u'"),
+    ({"theta": {"v_delta_alpha": [[0.3, 0.0], [0.0, 0.05]]}},
+     "theta: v_delta_alpha must be a number, got [[0.3, 0.0], [0.0, 0.05]]"),
+    ({"theta": {"sigma2_u": [0.04]}}, "theta: unknown parameter 'sigma2_u'"),
+    ({"theta": {"v_delta_sigma": 1.0}}, "theta: unknown parameter 'v_delta_sigma'"),
 ])
 def test_bad_simulate_setting_exits_2(setting, message, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -419,7 +432,10 @@ def test_two_simulated_periods_can_be_fitted(model, command, tmp_path, capsys):
     ("decompose", "m1", {"alpha": 0.0, "sigma_eps": 0.5}),  # decompose simulates M2
 ])
 def test_theta_entries_of_the_model_pass(command, model, q):
-    theta = {"q": q, "v_delta_alpha": [[0.3, 0.0], [0.0, 0.05]], "rho": 0.5, "sigma2_u": [0.04]}
+    if command == "simulate" and model == "m1":
+        theta = {"q": q, "v_delta_alpha": 0.3, "rho": 0.5, "sigma2": 0.7}
+    else:
+        theta = {"q": q, "v_delta_alpha": [[0.3, 0.0], [0.0, 0.05]], "rho": 0.5, "sigma2_u": [0.04]}
     _, errors = validate_config({"command": command, "model": model, "theta": theta})
     assert errors == []
 
@@ -695,3 +711,64 @@ def test_config_file_that_is_not_a_json_object_exits_2(text, tmp_path, capsys):
                              capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read config:")
+
+
+@pytest.mark.parametrize("theta", [{}, {"q": {"sigma": 0.5}}])
+def test_heteroskedastic_simulation_draws_variance_deviators(theta, tmp_path, capsys, monkeypatch):
+    truths = []
+
+    def keep_truth(*args, **kwargs):
+        data, truth = cli_simulate_m1(*args, **kwargs)
+        truths.append(truth)
+        return data, truth
+
+    cli_simulate_m1 = cli.simulate_m1
+    monkeypatch.setattr(cli, "simulate_m1", keep_truth)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"heteroskedastic": True, "theta": theta}))
+    code, _, err = run_cli(["simulate", "--config", str(config), "--n", "200", "--seed", "2",
+                            "--out", str(tmp_path / "s")], capsys)
+    assert code == 0, err
+    (truth,) = truths
+    assert truth.z["sigma"].any()
+    assert np.all((truth.delta_sigma == 1.0) == (truth.z["sigma"] == 0))
+
+
+def _values_breaking(rule):
+    """Config-file values that break a `cli.SETTINGS` rule."""
+    if isinstance(rule, tuple):
+        return ["bogus"]
+    if isinstance(rule, int):
+        return [rule - 1, True]
+    return {"seed": [-1, True], "bool": ["yes"], "path": [5], "horizons": ["x", "0"],
+            "variant": ["bogus"], "theta": [[1.0], {"bogus": 1.0}]}[rule]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (command, key, value) for key, (_, rule, readers) in cli.SETTINGS.items()
+    for command in readers for value in _values_breaking(rule)])
+def test_a_value_breaking_the_rule_of_a_setting_exits_2(command, key, value, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = [] if key == "out" else ["--out", str(tmp_path / "o")]
+    code, stdout, err = run_cli([command, "--config", str(config), *out], capsys)
+    assert code == 2 and stdout == ""
+    assert any(line.startswith(f"error: {key}:") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_the_settings_table_gives_each_command_its_flags(command):
+    assert cli.COMMAND_FIELDS[command] == tuple(
+        key for key, (_, _, readers) in cli.SETTINGS.items()
+        if command in readers and key not in cli.CONFIG_ONLY)
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    flags = [a.option_strings[0] for a in sub._actions if a.dest not in ("help", "config")]
+    assert flags == ["--" + key for key in cli.COMMAND_FIELDS[command]]
+
+
+def test_readme_flag_table_is_command_fields():
+    readme = (SRC.parent / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| `(--[^`]*)` \|$", readme, flags=re.MULTILINE))
+    assert rows == {command: " ".join("--" + key for key in fields)
+                    for command, fields in cli.COMMAND_FIELDS.items()}
