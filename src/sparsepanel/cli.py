@@ -91,10 +91,11 @@ def _is_int(value) -> bool:
 
 
 def _shape(value) -> Optional[Tuple[int, ...]]:
-    """The shape of a number or of a non-empty, rectangular (nested) list of
-    numbers; None for anything else."""
-    if not isinstance(value, list):
-        return () if _is_int(value) or isinstance(value, float) else None
+    """The shape of a finite number or of a non-empty, rectangular (nested)
+    list of them; None for anything else."""
+    if not isinstance(value, list):  # a float must hold the number
+        number = _is_int(value) or isinstance(value, float)
+        return () if number and abs(value) <= sys.float_info.max else None
     shapes = {_shape(v) for v in value}
     return None if len(shapes) != 1 or None in shapes else (len(value), *shapes.pop())
 

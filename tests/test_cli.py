@@ -405,6 +405,8 @@ def test_bad_decompose_setting_exits_2(setting, message, tmp_path, capsys):
      "theta: v_delta_alpha must be a number, got [[0.3, 0.0], [0.0, 0.05]]"),
     ({"theta": {"sigma2_u": [0.04]}}, "theta: unknown parameter 'sigma2_u'"),
     ({"theta": {"v_delta_sigma": 1.0}}, "theta: unknown parameter 'v_delta_sigma'"),
+    ({"theta": {"alpha": float("inf")}}, "theta: alpha must be a number or a list of numbers, got inf"),
+    ({"theta": {"rho": 10**400}}, "theta: rho must be a number or a list of numbers, got 1000"),
 ])
 def test_bad_simulate_setting_exits_2(setting, message, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -715,14 +717,13 @@ def test_config_file_that_is_not_a_json_object_exits_2(text, tmp_path, capsys):
 
 @pytest.mark.parametrize("theta", [{}, {"q": {"sigma": 0.5}}])
 def test_heteroskedastic_simulation_draws_variance_deviators(theta, tmp_path, capsys, monkeypatch):
-    truths = []
+    simulate, truths = cli.simulate_m1, []
 
     def keep_truth(*args, **kwargs):
-        data, truth = cli_simulate_m1(*args, **kwargs)
+        data, truth = simulate(*args, **kwargs)
         truths.append(truth)
         return data, truth
 
-    cli_simulate_m1 = cli.simulate_m1
     monkeypatch.setattr(cli, "simulate_m1", keep_truth)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"heteroskedastic": True, "theta": theta}))
