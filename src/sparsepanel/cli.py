@@ -37,7 +37,7 @@ from sparsepanel.rng import RngStream
 
 # Every setting, declared once: {name: (default, rule, the commands that
 # read it)}. A rule is an integer minimum, a tuple of choices, or one of
-# "bool", "path", "seed", "horizons", "variant" and "theta" (see _errors).
+# "bool", "path", "seed", "horizons", "variant" and "theta" (see _rule_errors).
 # Each setting a command reads is a flag of that command, but the CONFIG_ONLY
 # ones. A config file may set any setting for any command, so that one file
 # serves a whole workflow; a command ignores the settings it does not read.
@@ -137,7 +137,7 @@ def _fill_theta(theta, truth: CommonState) -> List[str]:
     return errors
 
 
-def _errors(rc: argparse.Namespace, name: str, rule, default, bad) -> List[str]:
+def _rule_errors(rc: argparse.Namespace, name: str, rule, default, bad) -> List[str]:
     """The errors of setting `name` of `rc` under its `rule`, given the names
     of the settings found `bad` before it; resolves `variant` and `horizons`."""
     value, problem = getattr(rc, name), None
@@ -197,7 +197,7 @@ def validate_config(config: Dict) -> Tuple[Optional[argparse.Namespace], List[st
     rc = argparse.Namespace(command=command, **{k: cfg.get(k, row[0]) for k, row in read.items()})
     bad = set()
     for name, (default, rule, _) in read.items():
-        found = _errors(rc, name, rule, default, bad)
+        found = _rule_errors(rc, name, rule, default, bad)
         errors += found
         if found:
             bad.add(name)
