@@ -26,12 +26,13 @@ from sparsepanel.forecast import (
     SCENARIOS,
     inequality_decomposition,
     predict,
+    terminal_regressors,
     write_decomposition,
     write_fan_chart,
 )
 from sparsepanel.m1 import M1Config, VARIANTS as M1_VARIANTS, run_m1
 from sparsepanel.m2 import M2Config, VARIANTS as M2_VARIANTS, run_m2, run_m2_individual
-from sparsepanel.mc import MCDesign, run_experiment
+from sparsepanel.mc import DESIGN_KEYS, MCDesign, run_experiment
 from sparsepanel.panel import load_panel, simulate_m1, simulate_m2, write_panel
 from sparsepanel.rng import RngStream
 
@@ -79,9 +80,7 @@ PREDICT_STREAM = 3
 UNIT_CHAINS_STREAM = 4
 DECOMPOSE_STREAM = 5
 
-# Design-file keys: MCDesign's fields but the two JSON cannot express, and
-# those of them that hold lists.
-_DESIGN_KEYS = tuple(f for f in MCDesign.__dataclass_fields__ if f not in ("theta", "hyper"))
+# The design keys (mc.DESIGN_KEYS) that hold lists.
 _DESIGN_LISTS = ("q_grid", "v_delta_alpha_grid", "estimators")
 
 
@@ -206,6 +205,9 @@ def validate_config(config: Dict) -> Tuple[Optional[argparse.Namespace], List[st
         errors.append(f"burnin: must be smaller than draws (burnin={rc.burnin}, draws={rc.draws})")
     if command == "forecast" and rc.model != "m2":
         errors.append("model: forecasting requires model m2")
+    if command == "simulate" and rc.model == "m2" and rc.heteroskedastic is True:
+        errors.append("heteroskedastic: applies to --model m1 only; M2's truth always has "
+                      "variance deviators")
     if command == "montecarlo" and not errors:
         design, design_errors = _mc_design(rc)
         errors += design_errors
@@ -231,8 +233,8 @@ def _mc_design(rc: argparse.Namespace) -> Tuple[Optional[MCDesign], List[str]]:
     for key, value in kwargs.items():
         if key in ("theta", "hyper"):
             errors.append(f"design: key {key!r} cannot be set in a design file")
-        elif key not in _DESIGN_KEYS:
-            errors.append(f"design: unknown key {key!r}, expected one of {_DESIGN_KEYS}")
+        elif key not in DESIGN_KEYS:
+            errors.append(f"design: unknown key {key!r}, expected one of {DESIGN_KEYS}")
         elif key in _DESIGN_LISTS and not isinstance(value, list):
             errors.append(f"design: key {key!r} must be a list, got {value!r}")
     if errors:
@@ -329,9 +331,13 @@ def _cmd_simulate(rc: argparse.Namespace) -> Dict:
 
 
 def _estimate_chain(rc: argparse.Namespace, data):
-    config, run = (M1Config, run_m1) if rc.model == "m1" else (M2Config, run_m2)
-    return run(data, config(variant=rc.variant, n_draws=rc.draws, burn_in=rc.burnin, thin=rc.thin),
-               RngStream(rc.seed, CHAIN_STREAM))
+    lengths = dict(variant=rc.variant, n_draws=rc.draws, burn_in=rc.burnin, thin=rc.thin)
+    if rc.model == "m1":
+        return run_m1(data, M1Config(**lengths), RngStream(rc.seed, CHAIN_STREAM))
+    # M2's priors are sized to the panel's regressors (run_m2 rejects a panel without any)
+    k = 2 if data.x is None else data.x.shape[2]
+    return run_m2(data, M2Config(**lengths, hyper=HyperParams.m2_defaults(k)),
+                  RngStream(rc.seed, CHAIN_STREAM))
 
 
 def _cmd_estimate(rc: argparse.Namespace) -> Dict:
@@ -365,6 +371,7 @@ def _cmd_forecast(rc: argparse.Namespace) -> Dict:
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(rc.seed, PREDICT_STREAM)
+    terminal_regressors(data, rc.horizons)  # a panel it cannot extend fails before any chain
     if rc.scenario == "individual_info":
         _progress(f"estimating the single-unit models of {len(data.unit_ids)} units")
         chain = run_m2_individual(data, n_draws=rc.draws, burn_in=rc.burnin,

@@ -11,7 +11,7 @@ the average over draws of the Normal density implied by each draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class ScoreReport:
     per_unit_lps: np.ndarray
     zero_density_units: List[str] = field(default_factory=list)
 
-    def mse_delta_vs(self, base: "ScoreReport") -> float:
-        """Relative MSE difference in percent; negative means improvement."""
-        return 100.0 * (self.mse - base.mse) / base.mse
-
-    def lps_delta_vs(self, base: "ScoreReport") -> float:
-        return self.lps - base.lps
-
 
 @dataclass
 class DecompositionResult:
@@ -87,7 +80,7 @@ class DecompositionResult:
         return 1.0 - self.v_no_transitory / self.v_baseline
 
 
-def _terminal_regressors(data: PanelData, horizons: Sequence[int]) -> np.ndarray:
+def terminal_regressors(data: PanelData, horizons: Sequence[int]) -> np.ndarray:
     """Regressor paths [1, experience/10] for the forecast periods.
 
     Experience is deterministic and grows by one per period, so the
@@ -165,7 +158,7 @@ def predict(chain: ChainOutput, data: PanelData, horizons: Sequence[int], scenar
         raise ValueError(f"horizons must be distinct, got {horizons}")
     gen = as_generator(rng)
     steps = horizons[-1]
-    x_path = _terminal_regressors(data, range(1, steps + 1))
+    x_path = terminal_regressors(data, range(1, steps + 1))
     shape = (chain.n_draws, data.y.shape[0])
     coef, rho_i, u_var, e_var, s0 = _forecast_parameters(chain, scenario)
     if s0.shape[1] != shape[1]:
@@ -211,56 +204,6 @@ def score(pred: PredictiveDraws, realized: np.ndarray) -> ScoreReport:
     return ScoreReport(mse=mse, lps=lps, per_unit_lps=per_unit, zero_density_units=zero)
 
 
-@dataclass
-class WidthRatioReport:
-    """Per-unit interval-width ratios and group means."""
-
-    ratios: np.ndarray  # (n_units,) with NaN for excluded units
-    excluded_units: List[str]
-    core_mean: float
-    deviator_mean: float
-    overall_mean: float
-
-
-def interval_width_ratios(numerator: PredictiveDraws, denominator: PredictiveDraws,
-                          level: float = 0.90, horizon: int = 1,
-                          core_mask: Optional[np.ndarray] = None) -> WidthRatioReport:
-    """Ratio of equal-tail interval widths per unit, with group means for
-    core units (posterior probability of no deviation at least one half)
-    versus deviators. Units with a zero-width denominator are excluded and
-    reported."""
-    if numerator.n_units != denominator.n_units:
-        raise ValueError("scenario outputs cover different numbers of units")
-    lo_n, hi_n = numerator.interval(horizon, level)
-    lo_d, hi_d = denominator.interval(horizon, level)
-    width_n = hi_n - lo_n
-    width_d = hi_d - lo_d
-    ratios = np.full(numerator.n_units, np.nan)
-    ok = width_d > 0
-    ratios[ok] = width_n[ok] / width_d[ok]
-    excluded = [numerator.unit_ids[i] for i in np.flatnonzero(~ok)]
-    if core_mask is None:
-        core_mask = np.zeros(numerator.n_units, dtype=bool)
-    core_mask = np.asarray(core_mask, dtype=bool)
-
-    def group_mean(mask):
-        vals = ratios[mask & ok]
-        return float(vals.mean()) if vals.size else float("nan")
-
-    return WidthRatioReport(
-        ratios=ratios,
-        excluded_units=excluded,
-        core_mean=group_mean(core_mask),
-        deviator_mean=group_mean(~core_mask),
-        overall_mean=group_mean(np.ones_like(core_mask)),
-    )
-
-
-def core_units_from_chain(chain: ChainOutput, label: str = "alpha") -> np.ndarray:
-    """Units whose posterior probability of no deviation is at least 1/2."""
-    return 1.0 - chain.unit_means[f"z_{label}"] >= 0.5
-
-
 def inequality_decomposition(theta: CommonState, n: int = 10_000, t: int = 20,
                              rng=None) -> DecompositionResult:
     """Cross-sectional variance of simulated outcomes for a cohort starting
@@ -304,12 +247,6 @@ def write_fan_chart(pred: PredictiveDraws, out_path) -> None:
         [unit, h, format(q, "g"), qs[qi, i, j]]
         for j, h in enumerate(pred.horizons) for i, unit in enumerate(pred.unit_ids)
         for qi, q in enumerate(FAN_QUANTILES)))
-
-
-def write_scores(reports: Dict[str, ScoreReport], out_path) -> None:
-    write_csv(out_path, ["scenario", "mse", "lps", "zero_density_units"],
-              ([name, rep.mse, rep.lps, ";".join(rep.zero_density_units)]
-               for name, rep in reports.items()))
 
 
 def write_decomposition(result: DecompositionResult, out_path) -> None:

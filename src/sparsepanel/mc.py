@@ -78,6 +78,11 @@ class MCDesign:
         return self.model == "m1_hetsk"
 
 
+# The keys a design file sets and the Monte Carlo manifest records: every
+# field of MCDesign but the two JSON cannot express.
+DESIGN_KEYS = tuple(f for f in MCDesign.__dataclass_fields__ if f not in ("theta", "hyper"))
+
+
 @dataclass
 class RiskTable:
     """Compound-risk estimates per (q, v_delta_alpha, estimator, target)."""
@@ -115,15 +120,7 @@ class RiskTable:
                    + [table[(q, v, est, target)] for q in d.q_grid for table in (self.risks, self.stderrs)]
                    for target in TARGETS for v in d.v_delta_alpha_grid for est in d.estimators))
         write_manifest(out / "manifest.json", {
-            "model": self.design.model,
-            "n": self.design.n,
-            "t": self.design.t,
-            "n_sim": self.design.n_sim,
-            "n_draws": self.design.n_draws,
-            "burn_in": self.design.burn_in,
-            "q_grid": list(self.design.q_grid),
-            "v_delta_alpha_grid": list(self.design.v_delta_alpha_grid),
-            "estimators": list(self.design.estimators),
+            **{key: getattr(d, key) for key in DESIGN_KEYS},
             "failed_replications": {
                 f"q={k[0]:g},v={k[1]:g},{k[2]}": v for k, v in self.failed.items() if v
             },

@@ -1,4 +1,4 @@
-"""Panel data container, CSV interchange, sampling helpers, and model simulators.
+"""Panel data container, CSV interchange, and the model simulators.
 
 The canonical interchange format is long CSV with header ``unit,time,y[,x1..xk]``,
 UTF-8, LF line endings, 17 significant digits, and empty fields for missing
@@ -23,10 +23,6 @@ class PanelIngestionError(ValueError):
     """Raised on malformed panel input (duplicates, non-numeric values, ...)."""
 
 
-class EmptySampleError(ValueError):
-    """Raised when a sample specification leaves no units."""
-
-
 @dataclass(frozen=True)
 class PanelData:
     """Balanced-array view of a (possibly unbalanced) panel.
@@ -49,35 +45,12 @@ class PanelData:
             raise PanelIngestionError("regressor array does not match y")
 
     @property
-    def n_units(self) -> int:
-        return self.y.shape[0]
-
-    @property
     def n_periods(self) -> int:
         return self.y.shape[1]
 
     @property
     def balanced(self) -> bool:
         return bool(self.mask.all())
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """Estimation-sample selection rule plus a holdout split."""
-
-    kind: str  # "balanced" or "unbalanced"
-    n_periods: Optional[int] = None  # balanced: number of estimation periods T
-    last_period: Optional[int] = None  # balanced: final estimation period value
-    min_consecutive: int = 2
-    holdout_periods: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("balanced", "unbalanced"):
-            raise ValueError(f"unknown sample kind {self.kind!r}")
-        if self.min_consecutive < 2:
-            raise ValueError("min_consecutive must be at least 2")
-        if self.holdout_periods < 0:
-            raise ValueError("holdout_periods must be non-negative")
 
 
 def load_panel(path) -> PanelData:
@@ -146,63 +119,6 @@ def write_panel(data: PanelData, path) -> None:
         [unit, int(t), cell(data.y[j, c])] + ([cell(v) for v in data.x[j, c]] if k else [])
         for j, unit in enumerate(data.unit_ids) for c, t in enumerate(data.times)
         if data.mask[j, c] or (data.x is not None and not np.all(np.isnan(data.x[j, c])))))
-
-
-def _max_consecutive_run(present: np.ndarray) -> int:
-    best = run = 0
-    for flag in present:
-        run = run + 1 if flag else 0
-        best = max(best, run)
-    return best
-
-
-def make_estimation_sample(data: PanelData, spec: SampleSpec) -> Tuple[PanelData, PanelData]:
-    """Split a panel into an estimation sample and a holdout sample."""
-    times = data.times
-    if spec.kind == "balanced":
-        last = int(spec.last_period) if spec.last_period is not None else int(times[-1]) - spec.holdout_periods
-        n_est = int(spec.n_periods) if spec.n_periods is not None else None
-        end_col = int(np.searchsorted(times, last))
-        if end_col >= times.size or times[end_col] != last:
-            raise EmptySampleError(f"last period {last} outside panel range")
-        start_col = 0 if n_est is None else end_col - n_est + 1
-        if start_col < 0:
-            raise EmptySampleError("not enough periods before the last estimation period")
-        est_cols = np.arange(start_col, end_col + 1)
-        keep = data.mask[:, est_cols].all(axis=1)
-    else:
-        est_cols = np.arange(0, times.size - spec.holdout_periods)
-        runs = np.array([_max_consecutive_run(data.mask[j, est_cols]) for j in range(data.n_units)])
-        keep = runs >= spec.min_consecutive
-    if not keep.any():
-        raise EmptySampleError("no units satisfy the sample specification")
-    hold_cols = np.arange(est_cols[-1] + 1, min(est_cols[-1] + 1 + spec.holdout_periods, times.size))
-
-    def subset(cols):
-        return PanelData(
-            unit_ids=tuple(u for u, k_ in zip(data.unit_ids, keep) if k_),
-            times=times[cols].copy(),
-            y=data.y[np.ix_(keep, cols)].copy(),
-            mask=data.mask[np.ix_(keep, cols)].copy(),
-            x=None if data.x is None else data.x[np.ix_(keep, cols)].copy(),
-        )
-
-    return subset(est_cols), subset(hold_cols)
-
-
-def residualize(data: PanelData, dummies: np.ndarray) -> PanelData:
-    """Replace y with pooled least-squares residuals on the given covariates."""
-    dummies = np.atleast_2d(np.asarray(dummies, dtype=float))
-    flat_mask = data.mask.ravel()
-    if dummies.shape[0] != flat_mask.size:
-        raise ValueError("dummies must have one row per (unit, period) cell")
-    y_obs = data.y.ravel()[flat_mask]
-    d_obs = dummies[flat_mask]
-    coef, *_ = np.linalg.lstsq(d_obs, y_obs, rcond=None)
-    resid = y_obs - d_obs @ coef
-    new_y = np.full_like(data.y, np.nan)
-    new_y.ravel()[flat_mask] = resid
-    return PanelData(unit_ids=data.unit_ids, times=data.times, y=new_y, mask=data.mask.copy(), x=data.x)
 
 
 # The unit-level blocks of the latent-state model, in the order they are drawn.

@@ -407,6 +407,9 @@ def test_bad_decompose_setting_exits_2(setting, message, tmp_path, capsys):
     ({"theta": {"v_delta_sigma": 1.0}}, "theta: unknown parameter 'v_delta_sigma'"),
     ({"theta": {"alpha": float("inf")}}, "theta: alpha must be a number or a list of numbers, got inf"),
     ({"theta": {"rho": 10**400}}, "theta: rho must be a number or a list of numbers, got 1000"),
+    # M2's truth always has variance deviators, so the key would be silently ignored
+    ({"model": "m2", "n": 3, "t": 3, "heteroskedastic": True},
+     "heteroskedastic: applies to --model m1 only"),
 ])
 def test_bad_simulate_setting_exits_2(setting, message, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -510,6 +513,43 @@ def test_forecast_rejects_regressors_it_cannot_extend(tmp_path, capsys):
             assert code == 1 and out == ""
             assert err.splitlines()[-1].startswith("error: forecast regressors must be "
                                                     "[1, experience/10]")
+
+
+def _panel_with_k_regressors(tmp_path, capsys, k):
+    """An M2 panel whose regressors are [1, experience/10] cut or padded to k columns."""
+    run_cli(["simulate", "--model", "m2", "--n", "4", "--t", "5", "--seed", "3",
+             "--out", str(tmp_path / "sim")], capsys)
+    data = load_panel(tmp_path / "sim" / "panel.csv")
+    extra = np.sin(7.0 * data.x[:, :, 1:]) * 0.3
+    path = tmp_path / f"k{k}.csv"
+    write_panel(replace(data, x=np.concatenate([data.x, extra], axis=2)[:, :, :k]), path)
+    return path
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_m2_priors_are_sized_to_the_panel_regressors(k, tmp_path, capsys):
+    panel = _panel_with_k_regressors(tmp_path, capsys, k)
+    code, _, err = run_cli(["estimate", "--model", "m2", "--data", str(panel), "--draws", "20",
+                            "--burnin", "10", "--out", str(tmp_path / "est")], capsys)
+    assert code == 0, err
+    with open(tmp_path / "est" / "common.csv") as fh:
+        header = fh.readline().strip().split(",")
+        first = np.array(fh.readline().strip().split(","), dtype=float)
+    # a one-column draw is written under its own name, as every such draw is
+    names = ["alpha"] if k == 1 else [f"alpha[{j}]" for j in range(k)]
+    assert [h for h in header if h.startswith("alpha")] == names
+    assert np.all(np.isfinite(first[[header.index(n) for n in names]]))
+
+
+@pytest.mark.parametrize("scenario", ["full_info_param_unc", "individual_info"])
+def test_forecast_rejects_other_regressor_counts_before_any_chain(scenario, tmp_path, capsys):
+    panel = _panel_with_k_regressors(tmp_path, capsys, 3)
+    code, out, err = run_cli(["forecast", "--model", "m2", "--data", str(panel), "--draws", "4",
+                              "--burnin", "2", "--scenario", scenario,
+                              "--out", str(tmp_path / "fc")], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: forecast regressors must be")
+    assert "estimating" not in err
 
 
 def test_individual_forecast_fits_every_observed_period(tmp_path, capsys):

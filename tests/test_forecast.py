@@ -10,14 +10,11 @@ from scipy.stats import norm
 from sparsepanel.blocks import CommonState, HyperParams
 from sparsepanel.forecast import (
     PredictiveDraws,
-    core_units_from_chain,
     inequality_decomposition,
-    interval_width_ratios,
     predict,
     score,
     write_decomposition,
     write_fan_chart,
-    write_scores,
 )
 from sparsepanel.m2 import M2Config, run_m2, run_m2_individual
 from sparsepanel.panel import simulate_m2
@@ -168,15 +165,6 @@ def test_score_matches_scipy_logsumexp_on_infinite_columns():
     assert report.zero_density_units == ["c"]
 
 
-def test_score_deltas():
-    pred = PredictiveDraws(np.zeros((10, 2, 1)), np.zeros((10, 2)), np.ones((10, 2)),
-                           "full_info_param_unc", (1,), ("a", "b"))
-    base = score(pred, np.array([1.0, 1.0]))
-    alt = score(pred, np.array([2.0, 2.0]))
-    assert alt.mse_delta_vs(base) == pytest.approx(100.0 * (4.0 - 1.0) / 1.0)
-    assert alt.lps_delta_vs(base) < 0
-
-
 def test_lps_stable_under_doubling():
     rng = np.random.default_rng(11)
     n = 30
@@ -192,23 +180,6 @@ def test_lps_stable_under_doubling():
     assert abs(lps_with(4000) - lps_with(2000)) < 0.005
 
 
-def test_interval_width_ratios_identity_and_exclusion():
-    rng = np.random.default_rng(5)
-    draws = rng.normal(size=(500, 3, 1))
-    pred = PredictiveDraws(draws, draws[:, :, 0], np.ones((500, 3)),
-                           "full_info_param_unc", (1,), ("a", "b", "c"))
-    rep = interval_width_ratios(pred, pred)
-    np.testing.assert_allclose(rep.ratios, 1.0)
-    assert rep.excluded_units == []
-    assert rep.overall_mean == pytest.approx(1.0)
-    degenerate = PredictiveDraws(np.zeros((500, 3, 1)), np.zeros((500, 3)),
-                                 np.zeros((500, 3)), "full_info_param_unc", (1,),
-                                 ("a", "b", "c"))
-    rep = interval_width_ratios(pred, degenerate)
-    assert rep.excluded_units == ["a", "b", "c"]
-    assert np.isnan(rep.overall_mean)
-
-
 def test_individual_scenario_widens_intervals():
     data, _, chain = make_fit(n=8, t=6, n_draws=300, burn_in=100)
     rng = np.random.default_rng(9)
@@ -219,9 +190,6 @@ def test_individual_scenario_widens_intervals():
     w_full = np.subtract(*reversed(full.interval(1)))
     w_indiv = np.subtract(*reversed(indiv.interval(1)))
     assert (w_indiv / w_full).mean() > 1.0
-    core = core_units_from_chain(chain)
-    rep = interval_width_ratios(indiv, full, core_mask=core)
-    assert rep.overall_mean > 1.0
 
 
 def test_decomposition_coupling_invariants():
@@ -265,9 +233,6 @@ def test_csv_writers(tmp_path):
     lines = (tmp_path / "fan.csv").read_text().splitlines()
     assert lines[0] == "unit,horizon,quantile,value"
     assert len(lines) == 1 + 5 * 2 * 5
-    rep = score(pred, data.y[:, -1])
-    write_scores({"full_info_param_unc": rep}, tmp_path / "scores.csv")
-    assert "full_info_param_unc" in (tmp_path / "scores.csv").read_text()
     theta = m2_truth(6)
     res = inequality_decomposition(theta, n=500, t=6, rng=np.random.default_rng(4))
     write_decomposition(res, tmp_path / "decomp.csv")

@@ -1,5 +1,4 @@
-"""Tests for panel ingestion, serialization, sample construction, and the
-model simulators."""
+"""Tests for panel ingestion, serialization and the model simulators."""
 
 from dataclasses import replace
 
@@ -8,14 +7,9 @@ import pytest
 
 from sparsepanel.blocks import CommonState, HyperParams
 from sparsepanel.panel import (
-    EmptySampleError,
-    PanelData,
     PanelIngestionError,
-    SampleSpec,
     draw_unit_deviations,
     load_panel,
-    make_estimation_sample,
-    residualize,
     simulate_m1,
     simulate_m2,
     write_panel,
@@ -92,66 +86,6 @@ def test_roundtrip_with_covariates_and_gaps(tmp_path):
     np.testing.assert_array_equal(back.mask, data.mask[:, 1:])  # t=0 has no data at all
     np.testing.assert_array_equal(back.y[:, :], data.y[:, 1:])
     np.testing.assert_array_equal(back.x, data.x[:, 1:, :])
-
-
-def test_make_estimation_sample_balanced():
-    y = np.arange(24, dtype=float).reshape(4, 6)
-    data = PanelData(unit_ids=("a", "b", "c", "d"), times=np.arange(6), y=y,
-                     mask=np.ones((4, 6), dtype=bool))
-    est, hold = make_estimation_sample(
-        data, SampleSpec(kind="balanced", n_periods=4, holdout_periods=2)
-    )
-    np.testing.assert_array_equal(est.times, [0, 1, 2, 3])
-    np.testing.assert_array_equal(hold.times, [4, 5])
-    assert est.y.shape == (4, 4)
-
-
-def test_make_estimation_sample_balanced_drops_incomplete_units():
-    y = np.ones((3, 5))
-    mask = np.ones((3, 5), dtype=bool)
-    mask[1, 2] = False
-    data = PanelData(unit_ids=("a", "b", "c"), times=np.arange(5), y=y, mask=mask)
-    est, _ = make_estimation_sample(
-        data, SampleSpec(kind="balanced", n_periods=4, holdout_periods=1)
-    )
-    assert est.unit_ids == ("a", "c")
-
-
-def test_make_estimation_sample_unbalanced_min_run():
-    mask = np.array(
-        [
-            [True, True, True, True, False],
-            [True, False, True, False, True],
-            [False, False, True, True, True],
-        ]
-    )
-    data = PanelData(unit_ids=("a", "b", "c"), times=np.arange(5),
-                     y=np.where(mask, 1.0, np.nan), mask=mask)
-    est, hold = make_estimation_sample(
-        data, SampleSpec(kind="unbalanced", min_consecutive=2, holdout_periods=1)
-    )
-    # Within periods 0..3, unit b has no run of 2 consecutive observations.
-    assert est.unit_ids == ("a", "c")
-    np.testing.assert_array_equal(hold.times, [4])
-
-
-def test_make_estimation_sample_empty_raises():
-    data = PanelData(unit_ids=("a",), times=np.arange(3), y=np.full((1, 3), np.nan),
-                     mask=np.zeros((1, 3), dtype=bool))
-    with pytest.raises(EmptySampleError):
-        make_estimation_sample(data, SampleSpec(kind="unbalanced", min_consecutive=2,
-                                                holdout_periods=1))
-
-
-def test_residualize_removes_fitted_component():
-    gen = RngStream(seed=23, stream_id=0).generator
-    y = gen.standard_normal((4, 5))
-    data = PanelData(unit_ids=tuple("abcd"), times=np.arange(5), y=y,
-                     mask=np.ones((4, 5), dtype=bool))
-    # time dummies
-    dummies = np.tile(np.eye(5), (4, 1))
-    out = residualize(data, dummies)
-    np.testing.assert_allclose(out.y.mean(axis=0), 0.0, atol=1e-12)
 
 
 def test_simulate_m1_moments_and_determinism():
